@@ -72,6 +72,20 @@ let doubled_scanner =
   in
   Patchitpy.Scanner.compile (rules @ dead)
 
+(* A plan whose fused pass always bails: this domain's cache for its
+   machine is shrunk until every pass thrashes, so each scan pays the
+   bailed pass and then sweeps every rule — the worst case of the scan
+   gate.  Compare this row against scanner-scan-per-sample.  Lazy, so
+   the shrink happens when the row first runs rather than before the
+   table runs, whose own plans could evict the shrunk cache. *)
+let bail_scanner =
+  lazy
+    (let t = Patchitpy.Scanner.compile Patchitpy.(Catalog.all ()) in
+     Option.iter
+       (fun f -> Rx.Fused.shrink_cache f ~max_states:2)
+       (Patchitpy.Scanner.fused_machine t);
+     t)
+
 (* One long-lived sink for the "(telemetry on)" pairs: the instrumented
    runs measure recording cost, not sink construction.  [with_sink] per
    run adds two atomic stores — noise at this scale — and guarantees the
@@ -110,18 +124,9 @@ let micro_tests =
         (Staged.stage (fun () -> ignore (Pylex.tokenize sample_flask)));
       Test.make ~name:"pyast-parse (substrate)"
         (Staged.stage (fun () -> ignore (Pyast.parse sample_flask)));
-      Test.make ~name:"rx-pike-compile (substrate)"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (r : Patchitpy.Rule.t) ->
-                 ignore (Rx.compile_linear r.Patchitpy.Rule.pattern))
-               Patchitpy.(Catalog.all ())));
       Test.make ~name:"scanner-compile-catalog"
         (Staged.stage (fun () ->
              ignore (Patchitpy.Scanner.compile Patchitpy.(Catalog.all ()))));
-      Test.make ~name:"scanner-compile-catalog (parallel)"
-        (Staged.stage (fun () ->
-             ignore (Experiments.compile_catalog_parallel ())));
       Test.make ~name:"rulepack-load-cold"
         (Staged.stage (fun () ->
              match Rulepack.load ~path:bench_pack_path with
@@ -154,6 +159,10 @@ let micro_tests =
       Test.make ~name:"scanner-scan-per-sample"
         (Staged.stage (fun () ->
              ignore (Patchitpy.Scanner.scan catalog_scanner sample_flask)));
+      Test.make ~name:"scanner-scan-per-sample (fused bail)"
+        (Staged.stage (fun () ->
+             ignore
+               (Patchitpy.Scanner.scan (Lazy.force bail_scanner) sample_flask)));
       Test.make ~name:"scanner-scan-2x-catalog-per-sample"
         (Staged.stage (fun () ->
              ignore (Patchitpy.Scanner.scan doubled_scanner sample_flask)));

@@ -1,6 +1,6 @@
 (** Little-endian binary encode/decode primitives.
 
-    Shared by the compiled-artifact codecs ({!Acsearch}, {!Rx},
+    Shared by the compiled-artifact codecs ({!Rx}, [Scanner],
     {!Rulepack}).  Writers append to a [Buffer.t].  Readers consume a
     string through a mutable cursor; running off the end raises
     {!Truncated} and malformed content {!Corrupt} — wrap a whole decode

@@ -10,18 +10,10 @@ type finding = {
 
 type warning = Budget_exhausted of string
 
-type rule_meta = { literals : string list; extent : (int * int) option }
-
-let derive_meta (rule : Rule.t) =
-  {
-    literals = Rx.required_literals rule.Rule.pattern;
-    extent = Rx.newline_budget rule.Rule.pattern;
-  }
-
 (* A rule slot.  Compile-built plans hold their rules directly;
    pack-loaded plans hold a decode thunk and materialize a rule the
-   first time a scan needs it — [candidates] prunes most rules for any
-   one source, so a short-lived process decodes only the rules it
+   first time a scan needs it — the fused gate prunes most rules for
+   any one source, so a short-lived process decodes only the rules it
    actually runs, and pack cold start stays free of the per-rule decode
    cost.  The slot is an [Atomic] rather than a [lazy] because one plan
    is shared across serve worker domains (concurrent forcing of a lazy
@@ -57,10 +49,6 @@ type fused_tier =
 
 type t = {
   rule_arr : cell array;  (* compilation order = reporting tie-break *)
-  prefilter : Acsearch.t;  (* one automaton over every rule's literals *)
-  owner : int array;  (* automaton pattern index -> rule index *)
-  unconditional : int list;  (* rules with no derivable literal *)
-  has_literals : bool array;
   extent : (int * int) option array;  (* Rx.newline_budget per rule *)
   tele : Telemetry.Rules.def;  (* per-rule telemetry registration *)
   fused : fused_tier Atomic.t;
@@ -94,40 +82,14 @@ let fused_of_cells rule_arr =
    lets a test assert the amortization actually happens. *)
 let compiles_counter = Telemetry.Counter.make "scanner_compiles_total"
 
-let compile ?meta rule_list =
+let compile rule_list =
   Telemetry.Counter.incr compiles_counter;
   let rules_vec = Array.of_list rule_list in
   let rule_arr = Array.map cell_of_rule rules_vec in
-  let metas =
-    match meta with
-    | None -> Array.map derive_meta rules_vec
-    | Some ms ->
-      let arr = Array.of_list ms in
-      if Array.length arr <> Array.length rules_vec then
-        invalid_arg "Scanner.compile: meta list does not match the rules";
-      arr
-  in
-  let literals = ref [] and owners = ref [] and unconditional = ref [] in
-  let has_literals = Array.make (Array.length rules_vec) false in
-  Array.iteri
-    (fun i m ->
-      match m.literals with
-      | [] -> unconditional := i :: !unconditional
-      | lits ->
-        has_literals.(i) <- true;
-        List.iter
-          (fun lit ->
-            literals := lit :: !literals;
-            owners := i :: !owners)
-          lits)
-    metas;
   {
     rule_arr;
-    prefilter = Acsearch.build (List.rev !literals);
-    owner = Array.of_list (List.rev !owners);
-    unconditional = List.rev !unconditional;
-    has_literals;
-    extent = Array.map (fun (m : rule_meta) -> m.extent) metas;
+    extent =
+      Array.map (fun (r : Rule.t) -> Rx.newline_budget r.Rule.pattern) rules_vec;
     tele =
       Telemetry.Rules.define
         (Array.map (fun (r : Rule.t) -> r.Rule.id) rules_vec);
@@ -182,26 +144,16 @@ let one_line s =
   | Some i -> String.sub s 0 i ^ " ..."
   | None -> s
 
-(* Candidate rule set: the unconditional rules plus every rule owning a
-   literal the automaton saw — one pass over the source total. *)
-let candidates t source =
-  let wanted = Array.make (Array.length t.rule_arr) false in
-  List.iter (fun i -> wanted.(i) <- true) t.unconditional;
-  let hits = Acsearch.search_mask t.prefilter source in
-  Array.iteri (fun j hit -> if hit then wanted.(t.owner.(j)) <- true) hits;
-  wanted
-
 module B = Telemetry.Rules
 
 (* --- fused-tier dispatch ---------------------------------------------- *)
 
-(* [candidates]' literal gate says "a required literal occurs"; the
-   fused pass sharpens that to "the full pattern matches somewhere" in
-   one more traversal of the source.  Counters: [candidates] counts
-   rules the fused pass flagged, [confirms] counts the per-rule sweeps
-   those flags triggered (the gap between the two is rules flagged but
-   already excluded by the literal gate), [fallbacks] counts subjects
-   where the fused cache thrashed and the scan reverted to per-rule. *)
+(* The scan gate.  One fused pass answers, for every hosted rule at
+   once, whether its full pattern matches somewhere in the subject; only
+   flagged and unhosted rules are swept per rule.  Counters:
+   [candidates] counts rules the fused pass flagged, [confirms] counts
+   the per-rule scan sweeps those flags triggered, [fallbacks] counts
+   passes where the fused cache thrashed and every rule was swept. *)
 let fused_candidates_counter =
   Telemetry.Counter.make "scanner_fused_candidates_total"
 
@@ -211,15 +163,26 @@ let fused_confirms_counter =
 let fused_fallbacks_counter =
   Telemetry.Counter.make "scanner_fused_fallbacks_total"
 
-(* One fused pass over [source], or [None] when the tier is off, hosts
-   nothing, or bailed on this subject (cache thrash).  Never affects
-   results — [None] simply means "sweep every candidate per-rule". *)
-let fused_mask t source =
+(* One fused pass over each of [subjects], their flags OR-ed into one
+   mask; [None] when the tier is off, hosts nothing, or bailed on some
+   subject (cache thrash).  Never affects results — [None] simply means
+   "every rule runs". *)
+let fused_mask t subjects =
   match fused_machine t with
   | None -> None
   | Some f -> (
-    match Rx.Fused.run f source with
-    | mask ->
+    match List.map (Rx.Fused.run f) subjects with
+    | masks ->
+      let mask =
+        match masks with
+        | [ m ] -> m
+        | _ ->
+          let u = Bytes.make (Rx.Fused.pattern_count f) '\000' in
+          List.iter
+            (Bytes.iteri (fun i c -> if c <> '\000' then Bytes.set u i c))
+            masks;
+          u
+      in
       if Telemetry.enabled () then begin
         let flagged = ref 0 in
         Bytes.iter (fun c -> if c <> '\000' then incr flagged) mask;
@@ -291,18 +254,7 @@ let max_ws_run_newlines source ~pos ~stop =
    is recorded when a sink is installed. *)
 let scan_state t source =
   Telemetry.Trace.ambient_span Telemetry.Trace.Scan @@ fun () ->
-  let fmask = fused_mask t source in
-  (* When the fused machine hosts every rule its mask is strictly
-     sharper than the literal gate (a matching rule's required literal
-     necessarily occurs, so flagged ⊆ literal-wanted): the automaton
-     pass would change nothing and is skipped.  Any unhosted rule —
-     or a bailed/disabled fused pass — brings the literal gate back. *)
-  let wanted =
-    match fmask with
-    | Some (f, _) when Rx.Fused.hosted_count f = Array.length t.rule_arr ->
-      None
-    | _ -> Some (candidates t source)
-  in
+  let fmask = fused_mask t [ source ] in
   let confirms = ref 0 in
   let nrules = Array.length t.rule_arr in
   let raws = Array.make nrules [] in
@@ -328,9 +280,7 @@ let scan_state t source =
   in
   Array.iteri
     (fun i cell ->
-      if (match wanted with None -> true | Some w -> w.(i))
-         && fused_wants fmask i
-      then begin
+      if fused_wants fmask i then begin
         (match fmask with
         | Some (f, _) when Rx.Fused.is_hosted f i -> incr confirms
         | _ -> ());
@@ -727,19 +677,22 @@ let rescan_exn t st edits new_source =
              Line_index.line new_index (max s (e - 1)) ))
          (new_spans edits))
   in
-  (* Literal-distance prefilter.  One Aho–Corasick pass over the dirty
-     lines widened by [p] records, per rule, how many lines its nearest
-     literal hit sits from a dirty line.  [p] covers the worst rule's
-     decision threshold (pad + bound + 1 below), so a hit outside the
-     scanned span is provably irrelevant to every rule — including
-     literals straddling a span start, which a root-start scan cannot
-     see but which then lie > p lines out. *)
-  let min_lit_dist = Array.make nrules max_int in
+  (* Fused-mask gate.  One fused pass over the dirty lines widened by
+     [p + max_bound] flags every rule with a match lying wholly inside a
+     span.  [p] covers every rule's decision threshold (pad + bound + 1
+     below), and a match touching a line within [p] of a dirty line
+     spans at most [max_bound] newlines, so it lies inside a span and is
+     flagged.  Spans are line-aligned, so a span's start has the same
+     left context as in the whole source (a line start), and any such
+     match ends before the span's last byte, so its right context is
+     unchanged too: the cut cannot hide it.  A bailed pass gates
+     nothing. *)
   let p = max_pad + max_bound + 1 in
   let scan_spans =
     merge_ranges
       (List.map
-         (fun (a, b) -> (max 1 (a - p), min nlines_new (b + p)))
+         (fun (a, b) ->
+           (max 1 (a - p - max_bound), min nlines_new (b + p + max_bound)))
          base_new)
     |> List.map (fun (la, lb) ->
            let bs = Line_index.line_start new_index la in
@@ -749,17 +702,14 @@ let rescan_exn t st edits new_source =
            in
            (bs, be))
   in
-  List.iter
-    (fun (bs, be) ->
-      if be > bs then
-        Acsearch.search_hits_into t.prefilter new_source ~pos:bs ~stop:be
-          (fun j i ->
-            let r = t.owner.(j) in
-            if min_lit_dist.(r) > 0 then begin
-              let d = dist_to_ranges base_new (Line_index.line new_index i) in
-              if d < min_lit_dist.(r) then min_lit_dist.(r) <- d
-            end))
-    scan_spans;
+  let span_mask =
+    fused_mask t
+      (List.map
+         (fun (bs, be) ->
+           if bs = 0 && be = new_len then new_source
+           else String.sub new_source bs (be - bs))
+         scan_spans)
+  in
   (* Distance from each rule's nearest old match to a dirty line: a
      close old match may vanish or change, and its disappearance can
      un-shadow a match further out, so closeness forces the full
@@ -778,26 +728,10 @@ let rescan_exn t st edits new_source =
         olds)
     st.st_raw;
   (* Rules with no finite line extent are re-run over the whole source
-     when they could match at all; their candidacy needs the full-source
-     prefilter, computed at most once. *)
-  let full_wanted =
-    lazy
-      (let w = Array.make nrules false in
-       List.iter (fun i -> w.(i) <- true) t.unconditional;
-       let hits = Acsearch.search_mask t.prefilter new_source in
-       Array.iteri (fun j hit -> if hit then w.(t.owner.(j)) <- true) hits;
-       (* the fused pass sharpens the literal gate into an exact
-          existence gate for hosted rules: an unflagged hosted rule's
-          full re-scan would find nothing, so it is skipped outright *)
-       (match fused_mask t new_source with
-       | None -> ()
-       | Some (f, mask) ->
-         for i = 0 to nrules - 1 do
-           if w.(i) && Rx.Fused.is_hosted f i && Bytes.get mask i = '\000'
-           then w.(i) <- false
-         done);
-       w)
-  in
+     when they could match at all: an unflagged hosted rule's full
+     re-scan would find nothing.  The whole-source fused pass runs at
+     most once. *)
+  let full_mask = lazy (fused_mask t [ new_source ]) in
   let block =
     match Telemetry.installed () with
     | None -> None
@@ -829,18 +763,15 @@ let rescan_exn t st edits new_source =
       match t.extent.(i) with
       | Some _ ->
         let pad = bound.(i) + 2 in
-        (* The rule must re-scan its regions iff a new match could start
-           near a dirty line (its literal sits within pad + bound + 1
-           lines — the extra bound + 1 covers a match whose start is up
-           to bound lines before its literal, plus the fence line) or an
-           old match sits within pad lines (it may vanish, and a
-           vanished match can un-shadow one starting up to bound lines
-           past the region, which the fence covers — so this case always
-           runs the full merge, never a drop-only shortcut). *)
+        (* The rule must re-scan its regions iff a new match could lie
+           near a dirty line (the span pass flagged it, or could not
+           rule it out: unhosted, or the pass bailed) or an old match
+           sits within pad lines (it may vanish, and a vanished match
+           can un-shadow one starting up to bound lines past the region,
+           which the fence covers — so this case always runs the full
+           merge, never a drop-only shortcut). *)
         let needs_merge =
-          (not t.has_literals.(i))
-          || min_lit_dist.(i) <= pad + bound.(i) + 1
-          || min_old_dist.(i) <= pad
+          fused_wants span_mask i || min_old_dist.(i) <= pad
         in
         if not needs_merge then begin
           (* nothing near the dirty lines changed for this rule:
@@ -881,7 +812,7 @@ let rescan_exn t st edits new_source =
       | None ->
         (* no finite extent: full re-scan whenever the rule is a
            candidate anywhere in the new source *)
-        if (Lazy.force full_wanted).(i) then begin
+        if fused_wants (Lazy.force full_mask) i then begin
           let rule = cell_rule cell in
           let steps = ref 0 in
           let matches =
@@ -951,14 +882,14 @@ let rescan t st edits =
 
 (* --- binary codec ----------------------------------------------------------
 
-   Plan serialization for rule packs: the rules (fully compiled), the
-   prefilter automaton, and the derived tables travel verbatim, so
-   loading a plan does none of the work [compile] does.  Two pieces of
-   process-local identity are regenerated on read: the telemetry
-   registration (stamps are per-process) and each pattern's DFA-cache
-   uid (fresh inside [Rx.read_compiled]).  [read] cross-checks every
-   table length and index against the rule count, so adversarial bytes
-   fail with [Binio.Corrupt] instead of corrupting a scan.
+   Plan serialization for rule packs: the rules (fully compiled) and
+   their newline budgets travel verbatim, so loading a plan does none
+   of the work [compile] does.  Two pieces of process-local identity
+   are regenerated on read: the telemetry registration (stamps are
+   per-process) and each pattern's DFA-cache uid (fresh inside
+   [Rx.read_compiled]).  [read] cross-checks every
+   table length against the rule count, so adversarial bytes fail with
+   [Binio.Corrupt] instead of corrupting a scan.
 
    Rules travel in two parts: their ids eagerly (the telemetry
    registration needs every id before any rule runs), then one
@@ -981,10 +912,6 @@ let write buf t =
       Rule.write blob rule;
       Binio.w_str buf (Buffer.contents blob))
     buf rules_vec;
-  Acsearch.write buf t.prefilter;
-  Binio.w_array (fun buf i -> Binio.w_u32 buf i) buf t.owner;
-  Binio.w_list (fun buf i -> Binio.w_u32 buf i) buf t.unconditional;
-  Binio.w_array Binio.w_bool buf t.has_literals;
   Binio.w_array
     (Binio.w_opt (fun buf (f, w) ->
          Binio.w_u32 buf f;
@@ -1015,17 +942,6 @@ let read r =
               rule);
         })
   in
-  let check_rule i =
-    if i < 0 || i >= nrules then
-      raise (Binio.Corrupt (Printf.sprintf "rule index %d out of range" i));
-    i
-  in
-  let prefilter = Acsearch.read r in
-  let owner = Binio.r_array (fun r -> check_rule (Binio.r_u32 r)) r in
-  if Array.length owner <> Acsearch.pattern_count prefilter then
-    raise (Binio.Corrupt "owner table does not match the prefilter");
-  let unconditional = Binio.r_list (fun r -> check_rule (Binio.r_u32 r)) r in
-  let has_literals = Binio.r_array Binio.r_bool r in
   let extent =
     Binio.r_array
       (Binio.r_opt (fun r ->
@@ -1034,14 +950,10 @@ let read r =
            (f, w)))
       r
   in
-  if Array.length has_literals <> nrules || Array.length extent <> nrules then
-    raise (Binio.Corrupt "per-rule tables do not match the rule count");
+  if Array.length extent <> nrules then
+    raise (Binio.Corrupt "newline-budget table does not match the rule count");
   {
     rule_arr;
-    prefilter;
-    owner;
-    unconditional;
-    has_literals;
     extent;
     tele = Telemetry.Rules.define ids;
     (* default thunk fuses from the decoded rules on first scan;

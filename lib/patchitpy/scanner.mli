@@ -2,11 +2,10 @@
 
     {!compile} turns a rule list into an immutable scanner value holding
     everything detection needs that does not depend on the scanned
-    source: one shared {!Acsearch} automaton over every rule's
-    {!Rx.required_literals} (a single pass over the source yields the
-    candidate rule set), the literal→rule ownership map, and the set of
-    rules that must always run because no prefilter literal could be
-    derived for them.
+    source: the rules in order, each pattern's {!Rx.newline_budget}
+    (which bounds incremental re-scan regions), and — fused on first
+    scan — one tagged DFA over every hostable pattern, the scan gate
+    (see {!section-fused}).
 
     Scanners are pure values — no global tables, no caches — so one
     scanner can be shared freely across OCaml 5 domains, and distinct
@@ -37,29 +36,10 @@ type warning =
 type t
 (** A compiled scan plan.  Immutable and domain-safe. *)
 
-type rule_meta = {
-  literals : string list;  (** {!Rx.required_literals} of the pattern *)
-  extent : (int * int) option;  (** {!Rx.newline_budget} of the pattern *)
-}
-(** The per-rule analysis {!compile} needs.  Deriving it walks the
-    pattern AST twice per rule; it is pure per rule, so callers may
-    compute it in parallel with {!derive_meta} and pass the results to
-    {!compile} via [?meta]. *)
-
-val derive_meta : Rule.t -> rule_meta
-(** The analysis of one rule's pattern: prefilter literals and newline
-    budget.  Pure and domain-safe. *)
-
-val compile : ?meta:rule_meta list -> Rule.t list -> t
-(** Derives every rule's prefilter literals and builds the shared
-    automaton.  Rule order is preserved and ties in finding order break
-    on it, so a compiled scanner reports findings exactly as a
-    rule-by-rule scan of the same list would.
-
-    [meta], when given, must be [List.map derive_meta rules] (same
-    order, same length — the length is checked); supplying it lets the
-    caller parallelize the per-rule analysis across domains while the
-    automaton build itself stays sequential and deterministic. *)
+val compile : Rule.t list -> t
+(** Builds a plan.  Rule order is preserved and ties in finding order
+    break on it, so a compiled scanner reports findings exactly as a
+    rule-by-rule scan of the same list would. *)
 
 val rules : t -> Rule.t list
 (** The rule list the scanner was compiled from, in order.  On a
@@ -80,7 +60,7 @@ val scan_with_warnings : t -> string -> finding list * warning list
 (** {!scan}, also returning the rules that were skipped because they
     exhausted their backtracking budget (in rule order).  When a
     {!Telemetry} sink is installed, either entry point additionally
-    records per-rule wall time, backtracking steps, prefilter
+    records per-rule wall time, backtracking steps, gate
     candidate/match/suppress counts and budget exhaustion. *)
 
 val is_vulnerable : t -> string -> bool
@@ -98,28 +78,28 @@ val telemetry_def : t -> Telemetry.Rules.def
     for picking this scanner's per-rule block out of a
     {!Telemetry.Report}. *)
 
-(** {1 The fused scan tier}
+(** {1:fused The fused scan gate}
 
-    By default a plan additionally fuses every hostable rule pattern
-    into one tagged lazy DFA ({!Rx.Fused}) on first scan.  A scan then
-    runs the Aho–Corasick literal gate, ONE fused pass over the source
-    (an exact per-rule existence filter), and per-rule sweeps only for
-    rules the fused pass flagged (plus unhosted rules) — so per-sample
-    cost approaches one traversal of the input regardless of catalog
-    size, while results stay byte-identical to the per-rule path by
-    construction.  The incremental {!rescan} path uses the same filter
-    to gate full re-scans of rules without a finite line extent.
+    By default a plan fuses every hostable rule pattern into one tagged
+    lazy DFA ({!Rx.Fused}) on first scan.  That machine is the plan's
+    only gate: a scan runs ONE fused pass over the source (an exact
+    per-rule existence filter) and sweeps per rule only the rules it
+    flagged plus the unhosted ones — so per-sample cost approaches one
+    traversal of the input regardless of catalog size, while results
+    stay byte-identical to the per-rule path by construction.  The
+    incremental {!rescan} runs the same machine over the widened dirty
+    spans to decide which rules re-scan their regions, and over the
+    whole edited source to gate rules without a finite line extent.
 
     [PATCHITPY_SCAN_TIER=per-rule] in the environment pins plans built
-    afterwards to the per-rule path (the escape hatch, mirroring
+    afterwards to the per-rule path (the oracle, mirroring
     [PATCHITPY_RX_TIER]); [PATCHITPY_RX_TIER=backtrack] implies it.
     When the fused pass's bounded transition cache thrashes on a
-    subject it bails and that scan transparently reverts to per-rule
-    sweeps ([scanner_fused_fallbacks_total] counts these; the flags it
-    did compute are discarded).  Counters
-    [scanner_fused_candidates_total] (rules flagged) and
-    [scanner_fused_confirms_total] (per-rule sweeps those flags
-    triggered) size the filter's win. *)
+    subject it bails and every rule is swept
+    ([scanner_fused_fallbacks_total] counts these; the flags it did
+    compute are discarded).  Counters [scanner_fused_candidates_total]
+    (rules flagged) and [scanner_fused_confirms_total] (per-rule scan
+    sweeps those flags triggered) size the gate's win. *)
 
 val fused_machine : t -> Rx.fused option
 (** The plan's fused catalog machine, fusing it now if this is the
@@ -184,8 +164,7 @@ val rescan : t -> state -> Edit.t list -> state
 (** {1 Binary codec}
 
     Plan serialization for rule packs.  A plan read back performs no
-    compilation: rules, prefilter automaton and derived tables travel
-    verbatim; only process-local identity (telemetry registration,
+    compilation: rules and their newline budgets travel verbatim; only process-local identity (telemetry registration,
     DFA-cache keys) is regenerated.  Scanning with a decoded plan is
     byte-identical to scanning with the [compile]-built one. *)
 

@@ -1,7 +1,7 @@
 (* Versioned binary rule packs.
 
    A pack is the fully compiled form of the rule catalog — scan plans
-   with their prefilter automata, compiled patterns, DFA programs and
+   with their compiled patterns, DFA programs, newline budgets and
    rewrite IR — so a process that loads one starts scanning without
    parsing a single regex.  Layout:
 
@@ -32,7 +32,7 @@
    comparison. *)
 
 let magic = "PITPACK\x00"
-let format_version = 1
+let format_version = 2
 
 let section_python = 1
 let section_javascript = 2

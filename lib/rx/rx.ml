@@ -24,10 +24,9 @@ type t = {
      branch. *)
   start_prefixes : (string * int) array;
   bol_only : bool;
-  (* Derived analyses, computed eagerly at compile time: [t] values are
-     shared across domains, so memoizing them lazily would need a lock
-     on every read — and the scanner wants them for every rule anyway. *)
-  req_literals : string list;
+  (* Derived analysis, computed eagerly at compile time: [t] values are
+     shared across domains, so memoizing it lazily would need a lock on
+     every read — and the scanner wants it for every rule anyway. *)
   nl_budget : (int * int) option;
   (* The lazy-DFA execution tier (see [Rx_dfa]): [None] when the
      pattern needs features only the backtracker has (back-references,
@@ -211,80 +210,6 @@ let start_prefixes_node node0 =
         Array.of_list (List.map (fun p -> (p, rarest_byte_offset p)) merged)
     end
 
-(* Derives the "required literal" prefilter: a set of strings such that
-   any match must contain at least one of them.
-   - a literal char run in a Seq is mandatory;
-   - for Alt, every branch must contribute (the union is returned);
-   - Rep with min = 0 and optional branches contribute nothing. *)
-let derive_literals node0 =
-  (* Longest mandatory literal of a node, or None when the node can match
-     without any fixed literal.  [None] propagates up conservatively. *)
-  let rec literals node : string list option =
-    match node with
-    | Rx_ast.Char c -> Some [ String.make 1 c ]
-    | Rx_ast.Seq nodes ->
-      (* choose the child with the best (longest shortest-member) set;
-         also merge adjacent Char runs for longer literals *)
-      let runs = char_runs nodes in
-      let from_runs =
-        match runs with
-        | [] -> None
-        | _ ->
-          let best =
-            List.fold_left
-              (fun acc r -> if String.length r > String.length acc then r else acc)
-              "" runs
-          in
-          if best = "" then None else Some [ best ]
-      in
-      let from_children =
-        List.filter_map literals nodes
-        |> List.fold_left
-             (fun acc set ->
-               match acc with
-               | None -> Some set
-               | Some best ->
-                 if shortest set > shortest best then Some set else acc)
-             None
-      in
-      (match (from_runs, from_children) with
-      | Some r, Some c -> if shortest r >= shortest c then Some r else Some c
-      | (Some _ as r), None -> r
-      | None, c -> c)
-    | Rx_ast.Alt branches ->
-      let sets = List.map literals branches in
-      if List.for_all Option.is_some sets then
-        Some (List.concat_map Option.get sets)
-      else None
-    | Rx_ast.Group (_, inner) -> literals inner
-    | Rx_ast.Rep (inner, min, _, _) -> if min >= 1 then literals inner else None
-    | Rx_ast.Empty | Rx_ast.Any | Rx_ast.Class _ | Rx_ast.Bol | Rx_ast.Eol
-    | Rx_ast.Eos | Rx_ast.Wordb | Rx_ast.Nwordb | Rx_ast.Backref _ -> None
-  and char_runs nodes =
-    let buf = Buffer.create 8 in
-    let out = ref [] in
-    let flush () =
-      if Buffer.length buf > 0 then begin
-        out := Buffer.contents buf :: !out;
-        Buffer.clear buf
-      end
-    in
-    List.iter
-      (fun n ->
-        match n with
-        | Rx_ast.Char c -> Buffer.add_char buf c
-        | _ -> flush ())
-      nodes;
-    flush ();
-    !out
-  and shortest = function
-    | [] -> 0
-    | set -> List.fold_left (fun acc s -> min acc (String.length s)) max_int set
-  in
-  match literals node0 with
-  | Some set when List.for_all (fun s -> String.length s >= 2) set -> set
-  | Some _ | None -> []
-
 (* Whether every character the node can consume is whitespace (the \s
    set).  Zero-width nodes are vacuously pure.  Used by [newline_budget]:
    an unbounded repetition over a whitespace-pure body matches one
@@ -453,7 +378,6 @@ let compile_uncached source =
       first_byte = single_first_byte first_bytes;
       start_prefixes = start_prefixes_node node;
       bol_only = bol_only_node node;
-      req_literals = derive_literals node;
       nl_budget = derive_newline_budget node;
       dfa = build_dfa node;
       end_exact = not (has_nullable_rep node);
@@ -512,7 +436,6 @@ let compile_opt source =
 
 let pattern t = t.source
 let group_count t = t.ngroups
-let required_literals t = t.req_literals
 let start_literals t = Array.map fst t.start_prefixes
 let newline_budget t = t.nl_budget
 
@@ -907,36 +830,6 @@ let matches t subject =
           bt_search ?cap ?steps_acc t subject 0 <> None
         | found -> found)
 
-exception Unsupported_linear of string
-
-(* The Pike program is compiled on first use and cached on the pattern.
-   The cache is process-wide, so lookups/inserts take a mutex — callers
-   may scan from several domains at once. *)
-let pike_cache : (string, Rx_pike.inst array) Hashtbl.t = Hashtbl.create 64
-let pike_cache_lock = Mutex.create ()
-
-let matches_linear t subject =
-  let cached =
-    Mutex.protect pike_cache_lock (fun () -> Hashtbl.find_opt pike_cache t.source)
-  in
-  let prog =
-    match cached with
-    | Some prog -> prog
-    | None -> (
-      match Rx_pike.compile t.node with
-      | prog ->
-        Mutex.protect pike_cache_lock (fun () ->
-            Hashtbl.replace pike_cache t.source prog);
-        prog
-      | exception Rx_pike.Unsupported what -> raise (Unsupported_linear what))
-  in
-  Rx_pike.search prog subject
-
-let compile_linear t =
-  match Rx_pike.compile t.node with
-  | prog -> Some (Array.length prog)
-  | exception Rx_pike.Unsupported _ -> None
-
 let matches_whole t subject =
   guarded (fun ?cap ?steps_acc () ->
       Rx_match.match_whole ?cap ?steps_acc t.node t.ngroups subject)
@@ -1116,7 +1009,6 @@ let write_compiled buf t =
       Binio.w_u8 buf anchor)
     buf t.start_prefixes;
   Binio.w_bool buf t.bol_only;
-  Binio.w_list Binio.w_str buf t.req_literals;
   Binio.w_opt
     (fun buf (fixed, runs) ->
       Binio.w_u32 buf fixed;
@@ -1143,7 +1035,6 @@ let read_compiled r =
       r
   in
   let bol_only = Binio.r_bool r in
-  let req_literals = Binio.r_list Binio.r_str r in
   let nl_budget =
     Binio.r_opt
       (fun r ->
@@ -1160,7 +1051,6 @@ let read_compiled r =
     first_byte = single_first_byte first_bytes;
     start_prefixes;
     bol_only;
-    req_literals;
     nl_budget;
     dfa = build_dfa node;
     end_exact = not (has_nullable_rep node);

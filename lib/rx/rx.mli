@@ -135,13 +135,6 @@ val start_literals : t -> string array
     found no usable set and matching falls back to FIRST-byte skips.
     Exposed so tests can pin the derivation on known patterns. *)
 
-val required_literals : t -> string list
-(** A prefilter: when non-empty, every match of the pattern contains at
-    least one of these literal substrings, so a subject containing none
-    of them cannot match.  Scanners use this to skip the full matcher on
-    most (rule, file) pairs.  An empty list means no useful literal
-    could be derived. *)
-
 val group_count : t -> int
 (** Number of capturing groups in the pattern. *)
 
@@ -196,23 +189,6 @@ val exec : ?pos:int -> ?limit:int -> t -> string -> m option
 
 val matches : t -> string -> bool
 (** [matches t s] is [true] iff [t] matches somewhere in [s]. *)
-
-exception Unsupported_linear of string
-
-val matches_linear : t -> string -> bool
-(** Like {!matches} but executed on a Thompson-NFA Pike VM: time is
-    O(pattern size x subject length) regardless of the pattern, so it is
-    immune to catastrophic backtracking and suits scanning untrusted
-    input.  @raise Unsupported_linear on patterns using back-references
-    or counted repetitions beyond the expansion bound (the backtracking
-    {!matches} handles those). *)
-
-val compile_linear : t -> int option
-(** Compiles the pattern into the Pike-VM program {!matches_linear}
-    executes, bypassing its process-wide cache, and returns the
-    instruction count — [None] for patterns the linear engine cannot
-    express.  Exists so the compile-cost benchmark can measure
-    compilation itself; {!matches_linear} callers never need this. *)
 
 val matches_whole : t -> string -> bool
 (** [matches_whole t s] is [true] iff [t] matches all of [s]. *)

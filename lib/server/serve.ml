@@ -6,9 +6,11 @@
    connections on a Unix-domain socket, one reader thread per
    connection, responses written back to the submitting connection.
    The HTTP front-end accepts loopback TCP connections and routes them
-   through {!Gateway}.  Threads do the blocking I/O; domains do the
-   scanning — OCaml 5 runs both side by side, and a blocked thread
-   costs no worker time.
+   through {!Gateway}.  Both accept through one loop that outlives
+   descriptor exhaustion and stops only when the drain closes the
+   listener.  Threads do the blocking I/O; domains do the scanning —
+   OCaml 5 runs both side by side, and a blocked thread costs no
+   worker time.
 
    Every response, on every front-end, is serialized into one buffer
    and written with a single [Netio.write_all] call under the
@@ -168,41 +170,46 @@ let connection_loop pool ~max_request_bytes fd =
   await_deliveries ();
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let listener_loop pool ~max_request_bytes lfd =
-  let rec loop () =
-    match Unix.accept ~cloexec:true lfd with
-    | fd, _ ->
-      ignore
-        (Thread.create (fun () -> connection_loop pool ~max_request_bytes fd) ());
-      loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ -> () (* listener closed: drain started *)
-  in
-  loop ()
+(* --- accept loop ------------------------------------------------------------ *)
 
-(* --- HTTP front-end -------------------------------------------------------- *)
+let accept_errors_counter = Telemetry.Counter.make "server_accept_errors_total"
 
-let http_listener_loop gateway lfd =
+(* How long a front end backs off when the process is out of
+   descriptors or buffers: long enough for closing connections to free
+   some, short enough that a recovered daemon answers promptly. *)
+let accept_backoff = 0.05
+
+(* The one accept loop behind both front ends: [handle] runs on its own
+   thread per accepted connection.  It returns only once [closed] is set
+   — the drain sets it before closing the listener — so no accept
+   failure can stop a front end for good.  EMFILE, ENFILE, ENOBUFS,
+   ENOMEM (and anything unexpected) back off briefly and retry;
+   ECONNABORTED (a peer that gave up while queued) retries at once.
+   Every such error counts in [server_accept_errors_total]. *)
+let accept_loop ~closed lfd handle =
   let rec loop () =
     match Unix.accept ~cloexec:true lfd with
     | fd, addr ->
-      (* The per-connection quota fallback identity is the peer
-         address without the ephemeral port, so reconnecting does not
-         mint a fresh bucket. *)
-      let peer =
-        match addr with
-        | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
-        | Unix.ADDR_UNIX p -> p
-      in
-      ignore
-        (Thread.create
-           (fun () -> Gateway.handle_connection gateway ~peer fd)
-           ());
+      ignore (Thread.create (fun () -> handle fd addr) ());
       loop ()
     | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ -> ()
+    | exception Unix.Unix_error _ when Atomic.get closed -> ()
+    | exception Unix.Unix_error (ECONNABORTED, _, _) ->
+      Telemetry.Counter.incr accept_errors_counter;
+      loop ()
+    | exception Unix.Unix_error _ ->
+      Telemetry.Counter.incr accept_errors_counter;
+      Unix.sleepf accept_backoff;
+      loop ()
   in
   loop ()
+
+(* The per-connection quota fallback identity of an HTTP peer is its
+   address without the ephemeral port, so reconnecting does not mint a
+   fresh bucket. *)
+let peer_of = function
+  | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
+  | Unix.ADDR_UNIX p -> p
 
 (* --- stale socket handling ------------------------------------------------- *)
 
@@ -291,6 +298,8 @@ let run ?pack ?warm_boot ~scanner config =
     in
     let max_request_bytes = config.max_request_bytes in
     let stdin_eof = Atomic.make false in
+    (* set by the drain before it closes the listeners *)
+    let closed = Atomic.make false in
     let stdout_mutex = Mutex.create () in
     ignore
       (Thread.create
@@ -305,7 +314,9 @@ let run ?pack ?warm_boot ~scanner config =
         Unix.listen lfd 64;
         ignore
           (Thread.create
-             (fun () -> listener_loop pool ~max_request_bytes lfd)
+             (fun () ->
+               accept_loop ~closed lfd (fun fd _ ->
+                   connection_loop pool ~max_request_bytes fd))
              ());
         Some (path, lfd)
     in
@@ -326,7 +337,12 @@ let run ?pack ?warm_boot ~scanner config =
         Unix.setsockopt lfd SO_REUSEADDR true;
         Unix.bind lfd (ADDR_INET (Unix.inet_addr_loopback, port));
         Unix.listen lfd 64;
-        ignore (Thread.create (fun () -> http_listener_loop gateway lfd) ());
+        ignore
+          (Thread.create
+             (fun () ->
+               accept_loop ~closed lfd (fun fd addr ->
+                   Gateway.handle_connection gateway ~peer:(peer_of addr) fd))
+             ());
         Some lfd
     in
     let rec serve_until_stop () =
@@ -342,6 +358,7 @@ let run ?pack ?warm_boot ~scanner config =
       end
     in
     serve_until_stop ();
+    Atomic.set closed true;
     (match listener with
     | Some (path, lfd) ->
       (try Unix.close lfd with Unix.Unix_error _ -> ());

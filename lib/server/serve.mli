@@ -10,6 +10,11 @@
     Each response is one buffer and, normally, one [write] syscall
     ([server_write_syscalls_total] counts them).
 
+    Accept failures never stop a front end: descriptor or buffer
+    exhaustion (EMFILE, ENFILE, ENOBUFS, ENOMEM) backs off briefly and
+    retries, an aborted queued connection is skipped, and each counts
+    in [server_accept_errors_total].
+
     Shutdown: SIGTERM or SIGINT stops accepting (listeners closed,
     socket unlinked, queue closed) and drains in-flight work for up to
     [drain_timeout] seconds before returning 0.  With no listeners

@@ -11,7 +11,7 @@
    differentials including the incremental rescan path and
    deadline/budget edges; the fused rule-pack section (round-trip and
    forged-section degradation); and the 609-sample corpus under
-   --jobs 1 and 4. *)
+   --jobs 1 and 4, and again with every fused pass forced to bail. *)
 
 open Patchitpy
 module G = Corpus.Generator
@@ -501,6 +501,65 @@ let test_corpus_differential () =
     samples;
   check_bool "rescan leg ran" true (!edited > 80)
 
+(* --- fused bail ---------------------------------------------------------- *)
+
+let patch_fingerprint (r : Patcher.result) =
+  ( r.Patcher.patched,
+    List.map
+      (fun (a : Patcher.application) ->
+        (a.Patcher.rule.Rule.id, a.Patcher.line, a.Patcher.before,
+         a.Patcher.after))
+      r.Patcher.applications,
+    r.Patcher.imports_added,
+    List.map
+      (fun (f : Engine.finding) ->
+        (f.Engine.rule.Rule.id, f.Engine.line, f.Engine.offset, f.Engine.stop))
+      r.Patcher.remaining,
+    r.Patcher.rounds_used,
+    r.Patcher.converged )
+
+(* A fused pass that bails gates nothing: every rule is swept on scan
+   and every rule runs its region merge on rescan.  Shrinking this
+   domain's fused cache until every pass thrashes drives both paths
+   over the whole corpus.  (With PATCHITPY_SCAN_TIER=per-rule there is
+   no fused pass to bail.) *)
+let test_bail_differential () =
+  let tf = Lazy.force scanner_fused in
+  match Scanner.fused_machine tf with
+  | None -> ()
+  | Some f ->
+      let codes = List.map (fun (s : G.sample) -> s.G.code) (G.all_samples ()) in
+      let scan_ref = List.map (scan_fp (Lazy.force scanner_per_rule)) codes in
+      let patch_ref =
+        Unix.putenv "PATCHITPY_FULL_RESCAN" "1";
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "PATCHITPY_FULL_RESCAN" "")
+          (fun () ->
+            List.map
+              (fun code -> patch_fingerprint (Patcher.patch ~scanner:tf code))
+              codes)
+      in
+      let sink = Telemetry.create () in
+      let scans, patches =
+        Fun.protect
+          ~finally:(fun () -> Rx.Fused.cache_clear f)
+          (fun () ->
+            Rx.Fused.shrink_cache f ~max_states:2;
+            Telemetry.with_sink sink (fun () ->
+                ( List.map (scan_fp tf) codes,
+                  List.map
+                    (fun code -> patch_fingerprint (Patcher.patch ~scanner:tf code))
+                    codes )))
+      in
+      let fallbacks =
+        Option.value ~default:0
+          (List.assoc_opt "scanner_fused_fallbacks_total"
+             (Telemetry.Report.of_sink sink).Telemetry.Report.counters)
+      in
+      check_bool "every scan pass bailed" true (fallbacks >= List.length codes);
+      check_bool "bailed scans = per-rule" true (scans = scan_ref);
+      check_bool "bailed patches = full rescan" true (patches = patch_ref)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "fused"
@@ -527,5 +586,7 @@ let () =
         [
           Alcotest.test_case "609-sample differential (jobs 1 and 4)" `Slow
             test_corpus_differential;
+          Alcotest.test_case "fused bail differential" `Slow
+            test_bail_differential;
         ] );
     ]

@@ -4,8 +4,8 @@
    bytes (and findings, and application log) of the full-rescan run.
    These tests check the contract three ways: unit edge cases around
    offset 0 / EOF / adjacency, randomized edit sequences (QCheck), and
-   a full differential over the 609-sample corpus at several --jobs
-   values. *)
+   full differentials at several --jobs values over the 609-sample
+   corpus and over repository-shaped files of 1-32 samples. *)
 
 open Patchitpy
 module G = Corpus.Generator
@@ -256,23 +256,68 @@ let with_full_rescan f =
   Unix.putenv "PATCHITPY_FULL_RESCAN" "1";
   Fun.protect ~finally:(fun () -> Unix.putenv "PATCHITPY_FULL_RESCAN" "") f
 
-let test_corpus_differential () =
-  let samples = G.all_samples () in
-  check_int "corpus size" 609 (List.length samples);
+(* Patches every source incrementally at jobs 1 and 4 and requires the
+   full-rescan pipeline's exact result; returns that reference. *)
+let check_patch_differential sources =
   let run jobs =
     Experiments.Par.map_samples ~jobs
-      (fun (s : G.sample) -> patch_fingerprint (Patcher.patch s.G.code))
-      samples
+      (fun code -> patch_fingerprint (Patcher.patch code))
+      sources
   in
   let reference = with_full_rescan (fun () -> run 1) in
   List.iter
     (fun jobs ->
-      let got = run jobs in
       check_bool
         (Printf.sprintf "incremental(jobs=%d) = full-rescan" jobs)
         true
-        (got = reference))
-    [ 1; 4 ]
+        (run jobs = reference))
+    [ 1; 4 ];
+  reference
+
+let test_corpus_differential () =
+  let samples = G.all_samples () in
+  check_int "corpus size" 609 (List.length samples);
+  ignore
+    (check_patch_differential
+       (List.map (fun (s : G.sample) -> s.G.code) samples))
+
+(* Repository-shaped files: 1..32 corpus samples joined by newlines, so
+   an edit's dirty spans cover a small part of the file and most rules
+   are gated out of their region merge — the case single samples, whose
+   spans usually cover the whole file, never reach. *)
+let repo_files ~seed ~count =
+  let samples = Array.of_list (G.all_samples ()) in
+  let rng = Random.State.make [| seed |] in
+  List.init count (fun i ->
+      String.concat "\n"
+        (List.init
+           (1 + (i mod 32))
+           (fun _ ->
+             samples.(Random.State.int rng (Array.length samples)).G.code)))
+
+let test_repo_files_differential () =
+  let files =
+    List.concat_map (fun seed -> repo_files ~seed ~count:48) [ 600; 601 ]
+  in
+  let reference = check_patch_differential files in
+  check_bool "the differential saw real applications" true
+    (List.exists (fun (_, apps, _, _, _, _) -> apps <> []) reference);
+  (* scan leg: a vulnerable line inserted mid-file must be found by the
+     gated rescan exactly as by a full scan *)
+  let t = Lazy.force scanner in
+  List.iteri
+    (fun i code ->
+      let at =
+        match String.index_from_opt code (String.length code / 2) '\n' with
+        | Some j -> j + 1
+        | None -> String.length code
+      in
+      let edits = [ { Edit.start = at; stop = at; repl = "os.system(cmd)\n" } ] in
+      ignore
+        (check_rescan_matches_full
+           ~msg:(Printf.sprintf "file %d" i)
+           (Scanner.scan_state t code) edits))
+    files
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -294,5 +339,7 @@ let () =
         [
           Alcotest.test_case "609-sample differential (jobs 1 and 4)" `Slow
             test_corpus_differential;
+          Alcotest.test_case "1-32 sample files differential (jobs 1 and 4)"
+            `Slow test_repo_files_differential;
         ] );
     ]

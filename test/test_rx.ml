@@ -202,59 +202,6 @@ let prop_star_always_matches =
   QCheck.Test.make ~name:"e* matches every subject" ~count:200 lower_string
     (fun s -> Rx.matches (Rx.compile "e*") s)
 
-let test_required_literals () =
-  let lits p = List.sort compare (Rx.required_literals (Rx.compile p)) in
-  Alcotest.(check (list string)) "literal run" [ "os.system(" ]
-    (lits {|\bos\.system\(([^)\n]*)\)|});
-  Alcotest.(check (list string)) "seq beats alternation" [ "hashlib." ]
-    (lits {|hashlib\.(?:md5|sha1)\(|});
-  Alcotest.(check (list string)) "pure alternation unions"
-    [ "import"; "pickle" ]
-    (lits {|pickle|import|});
-  Alcotest.(check (list string)) "no literal -> empty" [] (lits {|\w+\s*=\s*\d+|});
-  (* optional parts contribute nothing *)
-  Alcotest.(check (list string)) "optional dropped" [ "run" ]
-    (lits {|(?:debug)?run|})
-
-let prop_prefilter_sound =
-  (* soundness: if the pattern matches, at least one required literal is
-     present — checked over every catalog rule and corpus-like texts *)
-  QCheck.Test.make ~name:"required literals are sound" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         oneofl
-           [
-             "subprocess.call(cmd, shell=True)"; "os.system(c)";
-             "h = hashlib.md5(x)"; "v = eval(y)"; "yaml.load(f)";
-             "app.run(debug=True)"; "plain = 1"; "tar.extractall(d)";
-             "resp.set_cookie(\"sid\", s)"; "password = \"x\"";
-           ]))
-    (fun subject ->
-      List.for_all
-        (fun pat ->
-          let rx = Rx.compile pat in
-          let lits = Rx.required_literals rx in
-          (not (Rx.matches rx subject))
-          || lits = []
-          || List.exists
-               (fun lit ->
-                 (* substring check *)
-                 let n = String.length lit and h = String.length subject in
-                 let rec at i =
-                   i + n <= h
-                   && (String.sub subject i n = lit || at (i + 1))
-                 in
-                 n = 0 || at 0)
-               lits)
-        [
-          {|\bsubprocess\.(call|run|Popen)\(([^)\n]*)shell\s*=\s*True|};
-          {|\bos\.system\(([^)\n]*)\)|};
-          {|hashlib\.(?:md5|sha1)\(|};
-          {|\beval\(([^)\n]*)\)|};
-          {|yaml\.load\(([^)\n]*)\)|};
-          {|\.run\(([^)\n]*)debug\s*=\s*True([^)\n]*)\)|};
-        ])
-
 (* Differential testing: random small regex ASTs rendered to pattern
    strings, checked against an obviously-correct reference matcher. *)
 
@@ -312,63 +259,16 @@ let prop_differential =
       | Error _ -> false (* rendered patterns must always compile *)
       | Ok rx -> Rx.matches_whole rx s = ref_whole ast s)
 
-let prop_pike_agrees =
-  QCheck.Test.make ~name:"Pike VM agrees with the backtracker" ~count:2000
-    (QCheck.make QCheck.Gen.(pair (mini_gen 6) subject_gen))
-    (fun (ast, s) ->
-      let rx = Rx.compile (render ast) in
-      Rx.matches_linear rx s = Rx.matches rx s)
-
-let test_pike_on_rule_shapes () =
-  (* every engine rule pattern that the VM supports must agree with the
-     backtracker on representative subjects *)
-  let subjects =
-    [
-      "subprocess.call(cmd, shell=True)"; "app.run(debug=True)";
-      "h = hashlib.md5(data)"; "x = eval(y)"; "plain code";
-      "password = \"secret\""; "tar.extractall(dest)";
-    ]
-  in
-  List.iter
-    (fun pat ->
-      let rx = Rx.compile pat in
-      List.iter
-        (fun s ->
-          match Rx.matches_linear rx s with
-          | linear ->
-            if linear <> Rx.matches rx s then
-              Alcotest.failf "pike disagrees on %s / %s" pat s
-          | exception Rx.Unsupported_linear _ -> ())
-        subjects)
-    [
-      {|\bsubprocess\.(call|run|Popen)\(([^)\n]*)shell\s*=\s*True|};
-      {|\.run\(([^)\n]*)debug\s*=\s*True([^)\n]*)\)|};
-      {|hashlib\.(?:md5|sha1)\(|};
-      {|\beval\(([^)\n]*)\)|};
-      {|^(\s*)(\w*[Pp]assword\w*)\s*=\s*["'][^"'\n]+["']\s*$|};
-      {|\b(\w*tar\w*)\.extractall\(([^)\n]*)\)|};
-    ]
-
-let test_pike_linear_on_redos () =
+let test_dfa_linear_on_redos () =
   (* the classic catastrophic case: (a+)+b on a long run of 'a's — the
-     Pike VM answers instantly where naive backtracking explodes *)
+     DFA tier answers in one linear pass where naive backtracking
+     explodes *)
   let rx = Rx.compile "(a+)+b" in
+  Alcotest.(check bool) "runs on the DFA tier" true (Rx.tier rx = `Dfa);
   let subject = String.make 2000 'a' in
-  Alcotest.(check bool) "no match, no blow-up" false (Rx.matches_linear rx subject);
-  (* the backtracker on the same input trips its budget instead of hanging *)
-  (match Rx.matches rx subject with
-  | (_ : bool) -> ()
-  | exception Rx.Budget_exceeded _ -> ())
-
-let test_pike_unsupported () =
-  let backref = Rx.compile {|(\w+) \1|} in
-  (match Rx.matches_linear backref "hey hey" with
-  | (_ : bool) -> Alcotest.fail "backref should be unsupported"
-  | exception Rx.Unsupported_linear _ -> ());
-  let big = Rx.compile "a{100}" in
-  match Rx.matches_linear big "aaa" with
-  | (_ : bool) -> Alcotest.fail "large counted repetition should be unsupported"
-  | exception Rx.Unsupported_linear _ -> ()
+  match Rx.matches rx subject with
+  | found -> Alcotest.(check bool) "no match, no blow-up" false found
+  | exception Rx.Budget_exceeded _ -> Alcotest.fail "DFA tier hit the budget"
 
 let prop_compile_total =
   (* failure injection: arbitrary pattern text either compiles or reports
@@ -409,10 +309,7 @@ let () =
           Alcotest.test_case "whole" `Quick test_whole;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "python rule shapes" `Quick test_python_rule_shapes;
-          Alcotest.test_case "pike on rule shapes" `Quick test_pike_on_rule_shapes;
-          Alcotest.test_case "pike linear on redos" `Quick test_pike_linear_on_redos;
-          Alcotest.test_case "pike unsupported" `Quick test_pike_unsupported;
-          Alcotest.test_case "required literals" `Quick test_required_literals;
+          Alcotest.test_case "dfa linear on redos" `Quick test_dfa_linear_on_redos;
         ] );
       ( "property",
         qt
@@ -423,8 +320,6 @@ let () =
             prop_split_join;
             prop_star_always_matches;
             prop_differential;
-            prop_pike_agrees;
             prop_compile_total;
-            prop_prefilter_sound;
           ] );
     ]
