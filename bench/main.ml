@@ -385,15 +385,13 @@ let measure_cache_rows () =
 
 (* Warm-start rows: the first scan in a freshly created per-domain
    cache, cold (states materialized lazily from the NFA during the
-   scan) versus warm (caches pre-seeded from a warm pack's transition
-   tables during the load phase).  Per iteration every per-pattern and
-   fused cache is dropped and, for the warm row, re-seeded via
-   [Rulepack.prewarm] *outside* the timed region — that is the
-   production shape: seeding happens at load/boot, the request only
-   ever sees hot tables.  The seed cost itself is reported as its own
-   row.  Cold is measured first, then the warm pack is loaded (which
-   populates the process-wide registry); the registry is cleared at the
-   end so later rows see the same process state as before.  CI gates
+   scan) versus warm (caches filled during the load phase by
+   [Rulepack.prewarm] replaying the warm pack's subjects twice).  Per
+   iteration every per-pattern and fused cache is dropped and, for the
+   warm row, refilled by the replay *outside* the timed region — that
+   is the production shape: the replay runs at load/boot, the request
+   only ever sees hot tables.  The replay cost itself is reported as
+   its own row (rulepack-warm-seed-per-domain).  CI gates
    scan-first-after-load-warm at <= 1.5x scanner-scan-per-sample. *)
 let measure_warm_start_rows () =
   let iters = 300 in
@@ -431,10 +429,9 @@ let measure_warm_start_rows () =
     | Ok pack -> pack
     | Error e -> failwith (Rulepack.error_to_string e)
   in
-  (* cold: plain pack, empty registry *)
-  Rx.warm_registry_clear ();
+  (* cold: plain pack, no subjects *)
   let cold, _ = first_scan_p50 ~prewarm:false (load bench_pack_path) in
-  (* warm: corpus-heated pack; loading it registers the tables *)
+  (* warm: a pack carrying an even spread of the corpus *)
   let warm_path = Filename.temp_file "patchitpy-bench" ".warmpack" in
   let built = Rulepack.create () in
   let corpus =
@@ -442,17 +439,16 @@ let measure_warm_start_rows () =
       (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.code)
       (Corpus.Generator.all_samples ())
   in
-  (* the timed victim rides along in the capture corpus: a warm pack's
-     contract is that the capture corpus is representative of traffic,
-     and an out-of-corpus victim would measure the misprediction
-     penalty (fresh determinization of never-captured states, ~50 µs)
-     instead of warm-boot latency *)
+  (* the timed victim heads the corpus, so the spread carries it: a
+     warm pack's contract is that its subjects are representative of
+     traffic, and an out-of-sample victim would measure the
+     misprediction penalty (fresh determinization of states the replay
+     never reached) instead of warm-boot latency *)
   Rulepack.save
     ~warm:(Rulepack.collect_warm ~corpus:(sample_flask :: corpus) built)
     ~path:warm_path built;
   let warm, seed = first_scan_p50 ~prewarm:true (load warm_path) in
   (try Sys.remove warm_path with Sys_error _ -> ());
-  Rx.warm_registry_clear ();
   [
     ("patchitpy/scan-first-after-load-cold", cold);
     ("patchitpy/scan-first-after-load-warm", warm);

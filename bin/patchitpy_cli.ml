@@ -504,9 +504,9 @@ let serve_cmd =
     in
     (* Workers share the one plan; health replies carry the pack's
        identity so clients can tell which rules the daemon runs.  Each
-       worker domain prewarms the pack at spawn: transition-cache
-       seeding, table prefault and canary replay are per-domain, so
-       the thunk must run inside the worker, not here. *)
+       worker domain prewarms the pack at spawn: the subject replay
+       fills per-domain transition caches, so the thunk must run
+       inside the worker, not here. *)
     let warm_boot =
       Option.map
         (fun (p : Rulepack.t) () -> ignore (Rulepack.prewarm p : int))
@@ -604,6 +604,11 @@ let rules_list_term =
   in
   Term.(const run $ cwe $ markdown $ json_arg $ lang_arg)
 
+(* Count and total size of a pack's warm-start replay subjects. *)
+let subject_stats subjects =
+  ( List.length subjects,
+    List.fold_left (fun a s -> a + String.length s) 0 subjects )
+
 let rules_pack_cmd =
   let output =
     Arg.(value & opt string "patchitpy.pack"
@@ -613,17 +618,16 @@ let rules_pack_cmd =
   let warm =
     Arg.(value & flag
          & info [ "warm" ]
-             ~doc:"Replay a corpus through the compiled catalog before \
-                   serializing and embed the heated DFA transition \
-                   tables in the pack, so a process that loads it scans \
-                   at steady-state speed from its first request.  Uses \
-                   the built-in generated corpus unless \
+             ~doc:"Embed an even spread of at most 16 corpus files in \
+                   the pack; a server that loads it scans them at \
+                   startup, so its first request runs at steady-state \
+                   speed.  Uses the built-in generated corpus unless \
                    $(b,--warm-corpus) names another.")
   in
   let warm_corpus =
     Arg.(value & opt (some string) None
          & info [ "warm-corpus" ] ~docv:"DIR"
-             ~doc:"Heat the tables by scanning the *.py files under \
+             ~doc:"Pick the warm subjects from the *.py files under \
                    $(docv) instead of the built-in generated corpus.  \
                    Implies $(b,--warm).")
   in
@@ -631,7 +635,7 @@ let rules_pack_cmd =
     (* [create] compiles the catalog and validates every rewrite
        program, so a malformed rule fails here, not at patch time. *)
     let pack = Rulepack.create () in
-    let warm_tables =
+    let warm =
       if not (warm || warm_corpus <> None) then None
       else begin
         let corpus =
@@ -645,25 +649,19 @@ let rules_pack_cmd =
         Some (Rulepack.collect_warm ~corpus pack)
       end
     in
-    Rulepack.save ?warm:warm_tables ~path:output pack;
+    Rulepack.save ?warm ~path:output pack;
     Printf.printf "wrote %s: %d bytes, format v%d, catalog %s\n" output
       (file_size output) pack.Rulepack.version pack.Rulepack.catalog_hash;
-    match warm_tables with
-    | None -> ()
-    | Some w ->
-      let i = Rulepack.warm_info_of w in
-      Printf.printf
-        "warm tables: %d patterns, %d dfa states (%d bytes), %d fused \
-         states (%d bytes), %d canaries (%d bytes)\n"
-        i.Rulepack.warm_patterns i.Rulepack.warm_dfa_states
-        i.Rulepack.warm_dfa_bytes i.Rulepack.warm_fused_states
-        i.Rulepack.warm_fused_bytes i.Rulepack.warm_canaries
-        i.Rulepack.warm_canary_bytes
+    Option.iter
+      (fun w ->
+        let n, bytes = subject_stats (w : Rulepack.warm :> string list) in
+        Printf.printf "warm section: %d subjects (%d bytes)\n" n bytes)
+      warm
   in
   let doc =
     "Compile the full rule catalog (Python and JavaScript) into a \
      versioned binary pack for $(b,--rule-pack) / $(b,PATCHITPY_RULE_PACK), \
-     optionally with pre-warmed DFA transition tables ($(b,--warm))."
+     optionally with warm-start replay subjects ($(b,--warm))."
   in
   Cmd.v (Cmd.info "pack" ~doc) Term.(const run $ output $ warm $ warm_corpus)
 
@@ -682,15 +680,13 @@ let rules_inspect_cmd =
     in
     if json then begin
       let warm_fields =
-        match pack.Rulepack.warm with
-        | None -> "\"warmSection\":false"
-        | Some w ->
+        match pack.Rulepack.warm_subjects with
+        | [] -> "\"warmSection\":false"
+        | w ->
+          let n, bytes = subject_stats w in
           Printf.sprintf
-            "\"warmSection\":true,\"warmPatterns\":%d,\"warmDfaStates\":%d,\"warmDfaBytes\":%d,\"warmFusedStates\":%d,\"warmFusedBytes\":%d,\"warmCanaries\":%d,\"warmCanaryBytes\":%d"
-            w.Rulepack.warm_patterns w.Rulepack.warm_dfa_states
-            w.Rulepack.warm_dfa_bytes w.Rulepack.warm_fused_states
-            w.Rulepack.warm_fused_bytes w.Rulepack.warm_canaries
-            w.Rulepack.warm_canary_bytes
+            "\"warmSection\":true,\"warmCanaries\":%d,\"warmCanaryBytes\":%d"
+            n bytes
       in
       Printf.printf
         "{\"file\":\"%s\",\"bytes\":%d,\"formatVersion\":%d,\"catalogHash\":\"%s\",\"pythonRules\":%d,\"jsRules\":%d,\"fusedSection\":%b,%s,\"matchesThisBuild\":%b}\n"
@@ -708,16 +704,11 @@ let rules_inspect_cmd =
       Printf.printf "fused section: %s\n"
         (if pack.Rulepack.fused_section then "present"
          else "absent (re-fused from rules on first scan)");
-      (match pack.Rulepack.warm with
-      | None -> Printf.printf "warm section: absent (cold first scan)\n"
-      | Some w ->
-        Printf.printf
-          "warm section: %d patterns, %d dfa states (%d bytes), %d fused \
-           states (%d bytes), %d canaries (%d bytes)\n"
-          w.Rulepack.warm_patterns w.Rulepack.warm_dfa_states
-          w.Rulepack.warm_dfa_bytes w.Rulepack.warm_fused_states
-          w.Rulepack.warm_fused_bytes w.Rulepack.warm_canaries
-          w.Rulepack.warm_canary_bytes)
+      (match pack.Rulepack.warm_subjects with
+      | [] -> Printf.printf "warm section: absent (cold first scan)\n"
+      | w ->
+        let n, bytes = subject_stats w in
+        Printf.printf "warm section: %d subjects (%d bytes)\n" n bytes)
     end;
     if not catalog_matches then exit 1
   in

@@ -24,18 +24,6 @@ let w_u64 buf v =
 
 let w_bool buf b = w_u8 buf (if b then 1 else 0)
 
-(* LEB128 unsigned varint: 7 value bits per byte, high bit set on all
-   but the last.  The warm-table codecs write long runs of small
-   non-negative ints (program counters, interned-state row values);
-   varints keep those sections a third the size of fixed u16/u32. *)
-let rec w_varint buf v =
-  if v < 0 then invalid_arg "Binio.w_varint";
-  if v < 0x80 then w_u8 buf v
-  else begin
-    w_u8 buf (0x80 lor (v land 0x7f));
-    w_varint buf (v lsr 7)
-  end
-
 let w_str buf s =
   w_u32 buf (String.length s);
   Buffer.add_string buf s
@@ -91,19 +79,6 @@ let r_u64 r =
   let lo = r_u32 r in
   let hi = r_u32 r in
   lo lor (hi lsl 32)
-
-(* Ten 7-bit groups cover 63-bit OCaml ints; an eleventh continuation
-   byte means the input is forged, not merely large. *)
-let r_varint r =
-  let rec go acc shift =
-    if shift > 63 then raise (Corrupt "varint too long");
-    let b = r_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then
-      if acc < 0 then raise (Corrupt "varint overflow") else acc
-    else go acc (shift + 7)
-  in
-  go 0 0
 
 let r_bool r =
   match r_u8 r with

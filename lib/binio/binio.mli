@@ -17,11 +17,6 @@ val w_u32 : Buffer.t -> int -> unit
 val w_u64 : Buffer.t -> int -> unit
 val w_bool : Buffer.t -> bool -> unit
 
-val w_varint : Buffer.t -> int -> unit
-(** LEB128 unsigned varint (7 value bits per byte).  Raises
-    [Invalid_argument] on negatives.  Compact encoding for the long
-    runs of small ints in warm transition tables. *)
-
 val w_str : Buffer.t -> string -> unit
 (** Length (u32) prefixed bytes. *)
 
@@ -38,10 +33,6 @@ val r_u16 : r -> int
 val r_u32 : r -> int
 val r_u64 : r -> int
 val r_bool : r -> bool
-
-val r_varint : r -> int
-(** Reads a {!w_varint}-encoded int; raises {!Corrupt} on encodings
-    longer than a 63-bit OCaml int can hold. *)
 
 val r_str : r -> string
 val r_raw : r -> int -> string

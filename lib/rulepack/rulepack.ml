@@ -32,7 +32,7 @@
    comparison. *)
 
 let magic = "PITPACK\x00"
-let format_version = 2
+let format_version = 3
 
 let section_python = 1
 let section_javascript = 2
@@ -44,20 +44,20 @@ let section_javascript = 2
    readers that predate the tag skip the section entirely. *)
 let section_fused_python = 3
 
-(* Pre-warmed lazy-DFA transition tables ([Rx.warm_export] /
-   [Rx.Fused.warm_export] blobs), captured by replaying a corpus at
-   pack time so a loaded pack's first scan runs at steady-state speed.
-   Like the fused section, this is a pure accelerator: blobs
-   re-validate against the live programs at seed time and any
-   malformation degrades to an ordinary cold warm-up, never a wrong
-   result.  Readers that predate the tag skip it. *)
+(* Warm-start replay subjects: an even spread of at most
+   [max_subjects] corpus files, captured at pack time and scanned by
+   [prewarm] so a loaded pack's first request does not pay for lazy
+   determinization or cold hardware caches.  A pure accelerator: the
+   section decodes fault-tolerantly, and a malformed one means no
+   subjects, never a load failure.  Readers that predate the tag skip
+   it. *)
 let section_warm = 4
 
-(* Canary subjects carried in a warm section: enough to heat the scan
-   path's whole working set (measured: first-scan latency stops
-   improving past ~16), few enough to keep the pack small and the
-   load-phase replay in the hundreds of microseconds. *)
-let max_canaries = 16
+(* Enough subjects to heat the scan path's whole working set
+   (measured: first-scan latency stops improving past ~16), few enough
+   to keep the pack small and the load-phase replay in the low
+   milliseconds. *)
+let max_subjects = 16
 
 type t = {
   version : int;
@@ -71,38 +71,12 @@ type t = {
       (* whether the pack carries the pre-built fused machine (packs
          from pre-fused-section builds do not; they re-fuse from rules
          on first scan) — surfaced by [rules inspect] *)
-  warm : warm_info option;
-  canaries : string list;
-      (* warm-section canary subjects, replayed by [prewarm]: heating
-         the transition tables alone is not enough, because the first
-         scan otherwise still pays the hardware cold-cache latency of
-         the whole scan path; a handful of representative scans heats
-         code, rule programs and the tables' hot subset in one go *)
-      (* summary of the warm section when the pack carries one —
-         surfaced by [rules inspect].  The tables themselves go
-         straight into the process-wide warm registry at decode time;
-         only the stats are retained here. *)
+  warm_subjects : string list;
+      (* warm-section replay subjects, scanned by [prewarm]; empty for
+         cold packs *)
 }
 
-and warm_info = {
-  warm_patterns : int;  (* per-pattern table blobs carried *)
-  warm_dfa_states : int;  (* interned states across them, fw + rv *)
-  warm_dfa_bytes : int;
-  warm_fused_states : int;  (* 0 when no fused tables are carried *)
-  warm_fused_bytes : int;
-  warm_canaries : int;
-  warm_canary_bytes : int;
-}
-
-(* The capture-side payload: per-pattern [(source, blob)] pairs plus
-   the optional fused-machine tables.  Kept separate from [t] — warm
-   data is an argument to [encode]/[save], produced by [collect_warm]
-   after a corpus replay, not a property of the compiled catalog. *)
-type warm = {
-  w_rules : (string * string) list;
-  w_fused : string option;
-  w_canaries : string list;
-}
+type warm = string list
 
 (* Domain-safe once-memoization for the deferred section: an [Atomic]
    rather than a [lazy] because a pack can be shared across serve
@@ -203,124 +177,29 @@ let create () =
     python = Patchitpy.Scanner.compile python_rules;
     javascript = (fun () -> javascript);
     fused_section = true;
-    warm = None;
-    canaries = [];
+    warm_subjects = [];
   }
 
-let warm_info_of w =
-  let warm_dfa_states, warm_dfa_bytes =
-    List.fold_left
-      (fun (states, bytes) (_, blob) ->
-        let s =
-          match Rx.warm_blob_counts blob with
-          | Some (fw, rv) -> fw + rv
-          | None -> 0
-        in
-        (states + s, bytes + String.length blob))
-      (0, 0) w.w_rules
-  in
-  let warm_fused_states, warm_fused_bytes =
-    match w.w_fused with
-    | None -> (0, 0)
-    | Some blob ->
-      ( (match Rx.Fused.warm_blob_counts blob with Some n -> n | None -> 0),
-        String.length blob )
-  in
-  {
-    warm_patterns = List.length w.w_rules;
-    warm_dfa_states;
-    warm_dfa_bytes;
-    warm_fused_states;
-    warm_fused_bytes;
-    warm_canaries = List.length w.w_canaries;
-    warm_canary_bytes =
-      List.fold_left (fun a s -> a + String.length s) 0 w.w_canaries;
-  }
+(* An even spread of the corpus, so the replay covers the same mix of
+   rules the corpus exercises without carrying all of it. *)
+let collect_warm ~corpus _t =
+  let arr = Array.of_list corpus in
+  let n = Array.length arr in
+  let k = min max_subjects n in
+  List.init k (fun i -> arr.(i * n / k))
 
-(* Replays [corpus] through the python plan to heat this domain's
-   transition caches, then snapshots them.  Patterns the corpus never
-   drove past the fused existence filter export nothing — by design:
-   the warm section should carry the hot working set, not every
-   reachable state. *)
-let collect_warm ~corpus t =
-  (* Two passes: if the corpus's working set ever overflowed a cache
-     mid-replay, the flush dropped every table built before it — the
-     second pass re-materializes the dropped transitions (and is nearly
-     free when no flush happened: every lookup hits).  The export then
-     covers the whole corpus, not the suffix after the last flush. *)
+(* Two passes over the subjects: the first determinizes the fused and
+   per-rule tables the subjects reach (and forces the rule decode they
+   need), the second runs allocation-free and leaves the scan path hot
+   in the hardware caches.  One pass leaves the next scan about twice
+   as slow as steady state; a third buys nothing measurable. *)
+let prewarm t =
   for _ = 1 to 2 do
     List.iter
-      (fun subject -> ignore (Patchitpy.Scanner.scan t.python subject))
-      corpus
+      (fun s -> ignore (Patchitpy.Scanner.scan t.python s : _ list))
+      t.warm_subjects
   done;
-  let seen = Hashtbl.create 64 in
-  let export p acc =
-    let source = Rx.pattern p in
-    if Hashtbl.mem seen source then acc
-    else begin
-      Hashtbl.add seen source ();
-      match Rx.warm_export p with
-      | Some blob -> (source, blob) :: acc
-      | None -> acc
-    end
-  in
-  let w_rules =
-    List.fold_left
-      (fun acc (r : Patchitpy.Rule.t) ->
-        let acc = export r.Patchitpy.Rule.pattern acc in
-        match r.suppress with Some s -> export s acc | None -> acc)
-      []
-      (Patchitpy.Scanner.rules t.python)
-  in
-  let w_fused =
-    match Patchitpy.Scanner.fused_machine t.python with
-    | None -> None
-    | Some f -> Rx.Fused.warm_export f
-  in
-  (* A spread of canary subjects rides along with the tables.  Warm
-     tables alone leave the first scan several times slower than
-     steady state: the scan path's working set (rule programs, gate
-     tables, the hot subset of the just-imported rows) is cold in the
-     hardware caches after the import's allocation burst.  [prewarm]
-     replays these canaries — a few representative scans heat all of
-     it, which no amount of table prefaulting can. *)
-  let w_canaries =
-    let arr = Array.of_list corpus in
-    let n = Array.length arr in
-    let k = min max_canaries n in
-    List.init k (fun i -> arr.(i * n / (max k 1)))
-  in
-  { w_rules = List.rev w_rules; w_fused; w_canaries }
-
-(* Forces the calling domain's caches into existence — the fused
-   machine plus every rule (and suppress) pattern — so registry
-   seeding happens now, during the load phase, instead of inside the
-   first scan.  Returns the number of per-pattern caches touched.
-   Deliberately forces the deferred rule decode: a warm boot trades a
-   little load time for hot first requests.  When the pack carries
-   canary subjects, they are replayed last (results discarded): table
-   seeding moves the determinization cost out of the first request,
-   the canaries move the hardware cold-cache cost too. *)
-let prewarm t =
-  (match Patchitpy.Scanner.fused_machine t.python with
-  | Some f -> Rx.Fused.cache_touch f
-  | None -> ());
-  let n =
-    List.fold_left
-      (fun n (r : Patchitpy.Rule.t) ->
-        Rx.dfa_cache_touch r.Patchitpy.Rule.pattern;
-        match r.suppress with
-        | Some s ->
-          Rx.dfa_cache_touch s;
-          n + 2
-        | None -> n + 1)
-      0
-      (Patchitpy.Scanner.rules t.python)
-  in
-  List.iter
-    (fun c -> ignore (Patchitpy.Scanner.scan t.python c : _ list))
-    t.canaries;
-  n
+  List.length t.warm_subjects
 
 let encode ?warm t =
   let buf = Buffer.create (1 lsl 20) in
@@ -346,13 +225,7 @@ let encode ?warm t =
   | Some w ->
     Binio.w_u8 buf section_warm;
     let payload = Buffer.create (1 lsl 16) in
-    Binio.w_list
-      (fun b (source, blob) ->
-        Binio.w_str b source;
-        Binio.w_str b blob)
-      payload w.w_rules;
-    Binio.w_opt (fun b s -> Binio.w_str b s) payload w.w_fused;
-    Binio.w_list (fun b s -> Binio.w_str b s) payload w.w_canaries;
+    Binio.w_list Binio.w_str payload w;
     Binio.w_str buf (Buffer.contents payload));
   let checksum = Binio.hash64 (Buffer.contents buf) in
   let trailer = Bytes.create 8 in
@@ -360,7 +233,22 @@ let encode ?warm t =
   Buffer.add_bytes buf trailer;
   Buffer.contents buf
 
-let decode data =
+(* Fault-tolerant: replay subjects are a pure accelerator, so a
+   malformed warm section (checksum-forged bytes, a flipped count)
+   yields no subjects rather than a load failure.  A forged subject
+   that still parses is just another input to scan. *)
+let decode_warm view =
+  try
+    let wr = Binio.sub_reader view in
+    let subjects = Binio.r_list Binio.r_str wr in
+    if not (Binio.at_end wr) then
+      raise (Binio.Corrupt "trailing bytes in the warm section");
+    if List.length subjects > max_subjects then
+      raise (Binio.Corrupt "too many warm subjects");
+    subjects
+  with Binio.Truncated | Binio.Corrupt _ -> []
+
+let decode_uncounted data =
   let mlen = String.length magic in
   if String.length data < mlen || String.sub data 0 mlen <> magic then
     Error Bad_magic
@@ -416,65 +304,9 @@ let decode data =
             raise (Binio.Corrupt "trailing bytes after the last section");
           match (!python, !javascript) with
           | Some python, Some javascript ->
-            (* The warm section parses here — before the fused thunk is
-               installed, so the thunk can capture the fused tables —
-               and fault-tolerantly: warm tables are a pure
-               accelerator, so checksum-forged bytes inside them mean
-               an ordinary cold warm-up, not a load failure. *)
-            let warm =
-              match !warm_view with
-              | None -> None
-              | Some view -> (
-                match
-                  let wr = Binio.sub_reader view in
-                  let w_rules =
-                    Binio.r_list
-                      (fun r ->
-                        let source = Binio.r_str r in
-                        let blob = Binio.r_str r in
-                        (source, blob))
-                      wr
-                  in
-                  let w_fused = Binio.r_opt Binio.r_str wr in
-                  let w_canaries = Binio.r_list Binio.r_str wr in
-                  if not (Binio.at_end wr) then
-                    raise (Binio.Corrupt "trailing bytes in the warm section");
-                  { w_rules; w_fused; w_canaries }
-                with
-                | exception (Binio.Truncated | Binio.Corrupt _) -> None
-                | w ->
-                  (* the blobs re-validate against each pattern's own
-                     program at seed time, so registering them here is
-                     safe even if they are stale for this build *)
-                  List.iter
-                    (fun (source, blob) -> Rx.warm_register ~source blob)
-                    w.w_rules;
-                  Some w)
-            in
-            let warm_fused =
-              match warm with Some w -> w.w_fused | None -> None
-            in
-            let attach f =
-              (match (f, warm_fused) with
-              | Some f, Some blob -> Rx.Fused.warm_attach f blob
-              | _ -> ());
-              f
-            in
-            let refuse () =
-              Rx.Fused.compile
-                (Array.of_list
-                   (List.map
-                      (fun (r : Patchitpy.Rule.t) -> r.Patchitpy.Rule.pattern)
-                      (Patchitpy.Scanner.rules python)))
-            in
-            (match (!fused_view, warm_fused) with
-            | None, None -> ()  (* pre-fused-section pack: fuse from rules *)
-            | None, Some _ ->
-              (* no pre-built machine but warm tables to hang on the
-                 re-fused one *)
-              Patchitpy.Scanner.set_fused_thunk python (fun () ->
-                  attach (refuse ()))
-            | Some view, _ ->
+            (match !fused_view with
+            | None -> ()  (* no fused section: fuse from rules *)
+            | Some view ->
               (* deferred like the javascript section, and additionally
                  fault-tolerant: the fused machine is a pure
                  accelerator, so checksum-forged bytes inside it
@@ -482,37 +314,46 @@ let decode data =
                  validated) rules rather than failing the scan that
                  first forces it *)
               Patchitpy.Scanner.set_fused_thunk python (fun () ->
-                  attach
-                    (try
-                       let fr = Binio.sub_reader view in
-                       let f =
-                         Binio.r_opt
-                           (Rx.Fused.read
-                              ~npatterns:(Patchitpy.Scanner.rule_count python))
-                           fr
-                       in
-                       if not (Binio.at_end fr) then
-                         raise
-                           (Binio.Corrupt "trailing bytes in the fused section");
-                       f
-                     with Binio.Truncated | Binio.Corrupt _ -> refuse ())));
+                  try
+                    let fr = Binio.sub_reader view in
+                    let f =
+                      Binio.r_opt
+                        (Rx.Fused.read
+                           ~npatterns:(Patchitpy.Scanner.rule_count python))
+                        fr
+                    in
+                    if not (Binio.at_end fr) then
+                      raise
+                        (Binio.Corrupt "trailing bytes in the fused section");
+                    f
+                  with Binio.Truncated | Binio.Corrupt _ ->
+                    Rx.Fused.compile
+                      (Array.of_list
+                         (List.map
+                            (fun (r : Patchitpy.Rule.t) ->
+                              r.Patchitpy.Rule.pattern)
+                            (Patchitpy.Scanner.rules python)))));
             { version; catalog_hash; python; javascript;
               fused_section = !fused_view <> None;
-              warm = Option.map warm_info_of warm;
-              canaries =
-                (match warm with Some w -> w.w_canaries | None -> []) }
+              warm_subjects =
+                (match !warm_view with
+                | None -> []
+                | Some view -> decode_warm view) }
           | None, _ -> raise (Binio.Corrupt "missing python section")
           | _, None -> raise (Binio.Corrupt "missing javascript section")
         in
-        match Binio.protect parse with
-        | Ok t ->
-          Telemetry.Counter.incr loads_counter;
-          Ok t
-        | Error msg ->
-          Telemetry.Counter.incr load_failures_counter;
-          Error (Corrupted msg))
+        Result.map_error (fun msg -> Corrupted msg) (Binio.protect parse))
     end
   end
+
+(* The one place loads are counted: [load] adds only I/O errors, which
+   are not pack failures, so a file load and a bare decode of the same
+   bytes count the same. *)
+let decode data =
+  let result = decode_uncounted data in
+  Telemetry.Counter.incr
+    (match result with Ok _ -> loads_counter | Error _ -> load_failures_counter);
+  result
 
 let save ?warm ~path t =
   let data = encode ?warm t in
@@ -531,14 +372,8 @@ let load ~path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error msg -> Error (Io msg)
-  | exception End_of_file -> Error (Corrupted "truncated")
-  | data ->
-    let result = decode data in
-    (match result with
-    | Error (Corrupted _ | Bad_magic | Version_skew _) ->
-      Telemetry.Counter.incr load_failures_counter
-    | Error (Io _) | Ok _ -> ());
-    result
+  | exception End_of_file -> Error (Io (path ^ ": file shrank while reading"))
+  | data -> decode data
 
 let verify_catalog t =
   let current = catalog_fingerprint () in

@@ -27,16 +27,13 @@
     the validated rules instead of raising.  Packs without the section
     (older builds) load fine and fuse from rules on first scan.
 
-    A pack may additionally carry a {e warm} section: lazy-DFA
-    transition tables ({!Rx.warm_export} blobs) captured by replaying
-    a corpus at pack time ({!collect_warm}).  Decoding such a pack
-    registers the per-pattern tables in the process-wide warm registry
-    and attaches the fused tables to the fused machine, so every
-    per-domain cache created afterwards starts hot; {!prewarm} forces
-    that creation during the load phase.  Warm tables follow the same
-    degradation contract as the fused section — they re-validate
-    against the live programs at seed time, and any malformation means
-    an ordinary cold warm-up, never a load failure or a changed scan
+    A pack may additionally carry a {e warm} section: at most 16
+    corpus subjects chosen at pack time ({!collect_warm}) and scanned
+    twice by {!prewarm}, so the lazy DFAs determinize and the scan
+    path heats up during the load phase instead of inside the first
+    request.  The section is a pure accelerator with the fused
+    section's degradation contract: a malformed one decodes to no
+    subjects, never a load failure, and replay never changes a scan
     result. *)
 
 type t = {
@@ -54,55 +51,31 @@ type t = {
       (** whether the pack carries the pre-built fused multi-pattern
           machine; packs from pre-fused-section builds report [false]
           and re-fuse from rules on first scan *)
-  warm : warm_info option;
-      (** summary of the warm section when the pack carries one
-          ([None] otherwise) — the tables themselves are installed in
-          the warm registry during decode *)
-  canaries : string list;
-      (** warm-section canary subjects, replayed by {!prewarm} to heat
-          the hardware caches along the whole scan path; empty for
-          cold packs *)
+  warm_subjects : string list;
+      (** warm-section replay subjects, scanned by {!prewarm}; empty
+          for cold packs and for packs whose warm section is
+          malformed *)
 }
 
-and warm_info = {
-  warm_patterns : int;  (** per-pattern table blobs carried *)
-  warm_dfa_states : int;
-      (** interned DFA states across those blobs, forward + backward *)
-  warm_dfa_bytes : int;  (** serialized size of the per-pattern blobs *)
-  warm_fused_states : int;
-      (** interned states in the fused machine's tables; [0] when the
-          section carries none *)
-  warm_fused_bytes : int;
-  warm_canaries : int;  (** canary subjects carried (at most 16) *)
-  warm_canary_bytes : int;  (** total size of the canary subjects *)
-}
-
-type warm
-(** Captured warm tables, ready to be written into a pack by
+type warm = private string list
+(** Replay subjects ready to be written into a pack by
     {!encode}/{!save}.  Produced by {!collect_warm}. *)
 
 val collect_warm : corpus:string list -> t -> warm
-(** [collect_warm ~corpus t] replays every subject in [corpus] through
-    the python plan to heat the calling domain's transition caches,
-    then snapshots them — per-pattern (and per-suppress-pattern)
-    lazy-DFA tables plus the fused machine's.  Patterns the corpus
-    never exercised contribute nothing, by design: the section should
-    carry the hot working set.  Also selects an even spread of at most
-    16 corpus subjects as canaries, carried verbatim in the section
-    and replayed by {!prewarm}. *)
-
-val warm_info_of : warm -> warm_info
+(** [collect_warm ~corpus t] picks an even spread of at most 16
+    subjects from [corpus], carried verbatim in the warm section.  It
+    scans nothing: the heat is built by {!prewarm} in the process that
+    loads the pack. *)
 
 val prewarm : t -> int
-(** Forces the calling domain's transition caches into existence — the
-    fused machine plus every rule and suppress pattern — so warm
-    seeding happens during the load phase rather than inside the first
-    scan, then replays the pack's canary subjects (results discarded)
-    so the first real request doesn't pay the hardware cold-cache
-    latency of the scan path either.  Forces the deferred rule decode
-    as a consequence.  Returns the number of per-pattern caches
-    touched.  Useful (but never required) whether or not the pack
-    carried warm tables. *)
+(** Scans the pack's warm subjects twice with the python plan (results
+    discarded): the first pass determinizes the transition tables the
+    subjects reach, the second heats the hardware caches along the
+    scan path.  Per-domain, like the caches it fills — run it in each
+    domain that will scan.  Returns the number of subjects replayed
+    ([0] for a cold pack).  On a pack whose checksum was forged
+    around a damaged rule blob it may raise from the lazy rule
+    decode, like any scan over that pack. *)
 
 type error =
   | Bad_magic  (** not a rule pack at all *)
@@ -126,15 +99,16 @@ val encode : ?warm:warm -> t -> string
 
 val decode : string -> (t, error) result
 (** Parses and validates pack bytes.  Total: malformed input of any
-    kind yields [Error]. *)
+    kind yields [Error].  Counts every call once, in
+    [rulepack_loads_total] or [rulepack_load_failures_total]. *)
 
 val save : ?warm:warm -> path:string -> t -> unit
 (** Writes {!encode} to [path] via a temporary file and rename, so a
     crash mid-write never leaves a truncated pack behind. *)
 
 val load : path:string -> (t, error) result
-(** Reads and {!decode}s a pack file.  Counts
-    [rulepack_loads_total] / [rulepack_load_failures_total]. *)
+(** Reads and {!decode}s a pack file, counted once by {!decode}.  A
+    file that cannot be read is an [Io] error and is not counted. *)
 
 val fingerprint : Patchitpy.Rule.t list -> string
 (** Hex fingerprint of a rule list's declarations (sources, not

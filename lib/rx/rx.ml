@@ -451,38 +451,6 @@ let backtrack_tier t =
   | None -> t
   | Some _ -> { t with dfa = None; uid = Atomic.fetch_and_add uid_source 1 }
 
-(* --- warm transition-table registry ---------------------------------------
-
-   Pre-warmed DFA tables arrive from rule packs keyed by pattern
-   *source*, not by [uid]: a pack decodes its rules lazily and every
-   decode mints a fresh [uid], so a per-value attachment would either
-   force the whole catalog at load time (ruining the ~100 µs cold
-   start) or miss the values that matter.  The registry is process-wide
-   and read once per (pattern, domain) cache creation — never on the
-   match path.  A blob that does not actually belong to the pattern
-   (say, after a [PATCHITPY_RX_TIER] switch or a catalog edit) fails
-   [Rx_dfa.warm_import]'s validation and the cache warms up cold, so a
-   stale registration can never change results. *)
-let warm_registry : (string, string) Hashtbl.t = Hashtbl.create 64
-let warm_registry_lock = Mutex.create ()
-let max_warm_registry_entries = 8192
-
-let warm_register ~source blob =
-  Mutex.protect warm_registry_lock (fun () ->
-      if Hashtbl.length warm_registry >= max_warm_registry_entries then
-        Hashtbl.reset warm_registry;
-      Hashtbl.replace warm_registry source blob)
-
-let warm_registry_clear () =
-  Mutex.protect warm_registry_lock (fun () -> Hashtbl.reset warm_registry)
-
-let warm_registry_size () =
-  Mutex.protect warm_registry_lock (fun () -> Hashtbl.length warm_registry)
-
-let warm_lookup source =
-  Mutex.protect warm_registry_lock (fun () ->
-      Hashtbl.find_opt warm_registry source)
-
 (* --- per-domain DFA transition caches ------------------------------------- *)
 
 (* Transition caches are mutable and unsynchronized, so each domain owns
@@ -515,11 +483,6 @@ let get_cache t st =
         if Hashtbl.length slot.tbl >= max_domain_caches then
           Hashtbl.reset slot.tbl;
         let c = Rx_dfa.make_cache st in
-        (* seed from the warm registry, if a pack registered tables for
-           this pattern; a rejected blob leaves the cache exactly cold *)
-        (match warm_lookup t.source with
-        | Some blob -> ignore (Rx_dfa.warm_import c blob : bool)
-        | None -> ());
         Hashtbl.replace slot.tbl t.uid c;
         c
     in
@@ -528,17 +491,6 @@ let get_cache t st =
     c
   end
 
-(* Eagerly create (and, via the registry, seed) this domain's cache —
-   the warm-boot hook.  Without it seeding happens on the pattern's
-   first search, which is correct but puts the import cost inside the
-   first request instead of the load phase.  The prefault pass then
-   heats the imported tables so the first search doesn't eat the
-   cold-memory latency of megabytes of just-allocated arrays. *)
-let dfa_cache_touch t =
-  match t.dfa with
-  | None -> ()
-  | Some st -> Rx_dfa.prefault (get_cache t st)
-
 let dfa_cache_clear t =
   let slot = Domain.DLS.get dfa_slot in
   Hashtbl.remove slot.tbl t.uid;
@@ -546,21 +498,6 @@ let dfa_cache_clear t =
     slot.last_uid <- -1;
     slot.last_cache <- None
   end
-
-(* Snapshot of this domain's warmed transition tables for [t] — the
-   payload a [rules pack --warm] run captures after replaying a corpus.
-   [None] when the pattern runs on the backtracker or this domain never
-   scanned with it. *)
-let warm_export t =
-  match t.dfa with
-  | None -> None
-  | Some _ -> (
-    let slot = Domain.DLS.get dfa_slot in
-    match Hashtbl.find_opt slot.tbl t.uid with
-    | None -> None
-    | Some c -> Rx_dfa.warm_export c)
-
-let warm_blob_counts = Rx_dfa.warm_counts
 
 let dfa_shrink_cache t ~max_states =
   match t.dfa with
@@ -1069,11 +1006,6 @@ type fused = {
   f_slots : int array; (* machine slot -> caller pattern index *)
   f_hosted : bool array; (* caller pattern index -> hosted? *)
   fuid : int; (* keys the per-domain fused caches, like [t.uid] *)
-  (* Pre-warmed transition tables to seed fresh per-domain caches from
-     (set by a warm rule pack after the machine decodes); [None] until
-     attached.  Atomic because the pack's fused thunk may force on any
-     worker domain. *)
-  f_warm : string option Atomic.t;
 }
 
 module Fused = struct
@@ -1129,7 +1061,6 @@ module Fused = struct
           f_slots;
           f_hosted;
           fuid = Atomic.fetch_and_add uid_source 1;
-          f_warm = Atomic.make None;
         }
     end
 
@@ -1167,11 +1098,6 @@ module Fused = struct
           if Hashtbl.length slot.ftbl >= max_fused_caches then
             Hashtbl.reset slot.ftbl;
           let c = Rx_fused.make_cache f.fstatic in
-          (* seed from the attached warm tables, if any; a rejected
-             blob leaves the cache exactly cold *)
-          (match Atomic.get f.f_warm with
-          | Some blob -> ignore (Rx_fused.warm_import c blob : bool)
-          | None -> ());
           Hashtbl.replace slot.ftbl f.fuid c;
           c
       in
@@ -1195,26 +1121,6 @@ module Fused = struct
     if slot.flast_uid = f.fuid then slot.flast <- Some c
 
   let state_count f = Rx_fused.state_count (get_cache f)
-
-  (* Like [dfa_cache_touch]: create, seed, and heat this domain's
-     cache so the first search after a warm boot runs at steady-state
-     speed instead of faulting in the imported tables. *)
-  let cache_touch f = Rx_fused.prefault (get_cache f)
-
-  (* Warm-table capture and attach.  [warm_export] snapshots this
-     domain's cache (without creating one just to find it empty);
-     [warm_attach] installs tables that [get_cache] seeds every fresh
-     per-domain cache from.  Already-live caches are untouched — the
-     attach is for machines decoded from a pack, whose caches do not
-     exist yet. *)
-  let warm_export f =
-    let slot = Domain.DLS.get fused_slot in
-    match Hashtbl.find_opt slot.ftbl f.fuid with
-    | None -> None
-    | Some c -> Rx_fused.warm_export c
-
-  let warm_attach f blob = Atomic.set f.f_warm (Some blob)
-  let warm_blob_counts = Rx_fused.warm_counts
 
   (* One fused pass: a byte per caller pattern index, ['\001'] iff
      that pattern matches anywhere in [subject].  Unhosted patterns
@@ -1283,6 +1189,5 @@ module Fused = struct
       f_slots;
       f_hosted;
       fuid = Atomic.fetch_and_add uid_source 1;
-      f_warm = Atomic.make None;
     }
 end

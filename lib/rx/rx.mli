@@ -73,12 +73,6 @@ val dfa_cache_clear : t -> unit
     the next search to re-materialize states.  Benchmarks use it to
     measure cache-cold cost; it is never needed for correctness. *)
 
-val dfa_cache_touch : t -> unit
-(** Eagerly creates the calling domain's DFA transition cache for [t]
-    (seeding it from the warm registry when a blob is installed), so
-    the import cost lands in the load phase instead of the first
-    search.  A no-op for backtracker-tier patterns. *)
-
 val dfa_shrink_cache : t -> max_states:int -> unit
 (** Replaces the calling domain's DFA transition cache for [t] with one
     bounded to [max_states] interned states per direction, so tests can
@@ -90,40 +84,6 @@ val dfa_shrink_cache : t -> max_states:int -> unit
 
 val pattern : t -> string
 (** The source text the pattern was compiled from. *)
-
-(** {1 Warm transition tables}
-
-    A warmed pattern's lazy-DFA cache — interned states, transition
-    rows, start-state memos — can be exported to bytes, carried in a
-    rule pack, and used to seed fresh per-domain caches in another
-    process, so a loaded pack starts scanning at steady-state speed.
-    Blobs are registered process-wide by pattern {e source}: packs
-    decode rules lazily and every decode mints a fresh cache identity,
-    so source is the only stable key.  Seeding happens once per
-    (pattern, domain) cache creation, never on the match path, and a
-    blob that fails validation against the pattern's own program
-    leaves the cache exactly cold — a stale or foreign registration
-    can never change results. *)
-
-val warm_export : t -> string option
-(** Snapshot of the calling domain's warmed transition tables for this
-    pattern, or [None] when it runs on the backtracker or was never
-    searched here.  The blob is opaque; feed it to {!warm_register}. *)
-
-val warm_register : source:string -> string -> unit
-(** [warm_register ~source blob] installs [blob] as the seed for every
-    subsequently created per-domain cache of the pattern compiled from
-    [source]. *)
-
-val warm_registry_clear : unit -> unit
-(** Empties the warm registry (benchmarks and tests). *)
-
-val warm_registry_size : unit -> int
-(** Number of registered warm blobs. *)
-
-val warm_blob_counts : string -> (int * int) option
-(** [(forward, backward)] state counts carried in a warm blob's header
-    ([None] for unrecognizable bytes) — [rules inspect] introspection. *)
 
 val start_literals : t -> string array
 (** The compile-time start-literal analysis: when non-empty, every
@@ -341,27 +301,11 @@ module Fused : sig
   val cache_clear : fused -> unit
   (** Drop the calling domain's transition cache (benchmarks). *)
 
-  val cache_touch : fused -> unit
-  (** Eagerly create (and warm-seed, when tables are attached) the
-      calling domain's transition cache. *)
-
   val shrink_cache : fused -> max_states:int -> unit
   (** Replace the calling domain's cache with one bounded to
       [max_states] states, to force the flush/restart and {!Bail}
       paths in tests.
       @raise Invalid_argument when [max_states < 2]. *)
-
-  val warm_export : fused -> string option
-  (** Snapshot of the calling domain's warmed fused transition tables,
-      or [None] when this domain never ran the machine. *)
-
-  val warm_attach : fused -> string -> unit
-  (** Installs warm tables to seed every subsequently created
-      per-domain cache of this machine from.  Validation happens at
-      seed time; a bad blob leaves caches cold. *)
-
-  val warm_blob_counts : string -> int option
-  (** Interned-state count in a fused warm blob's header. *)
 
   val write : Buffer.t -> fused -> unit
   (** Appends the serialized fused machine and its pattern-index map

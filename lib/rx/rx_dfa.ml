@@ -922,191 +922,3 @@ let is_match cache ?recorder ?(cap = max_int) ?steps_acc ?limit ?first_bytes
 
 (* Introspection for benchmarks and tests. *)
 let state_count cache = (cache.fw.nstates, cache.rv.nstates)
-
-(* --- warm transition-table export/import ----------------------------------
-
-   A warm blob snapshots the interned states, the materialized
-   transition rows and the start-state memos of both machines so a
-   fresh cache in another process can start hot.  Imported states are
-   ordinary cache entries: flush/[Bail] semantics are untouched, and
-   the start memo is stamped with the importing cache's flush
-   generation, so a later flush drops the imported table exactly like a
-   self-built one — a stale import can never outlive a flush.
-
-   Layout (all ints varint unless noted):
-
-     u8 version | u16 fw_nstates | u16 rv_nstates
-     per machine (fw then rv):
-       ncols
-       per state (sid order): u8 ctx | raw_len | raw pcs
-       per state: ncols urow values, encoded v + 2   (v in {-2,-1,enc})
-       per state: ncols arow values, encoded v + 1   (v in {-1,enc})
-       4 start memos, encoded sid + 1 (0 = unset)
-
-   The fixed-width state counts in the header let [warm_counts] report
-   table sizes without parsing the body.  Import validates everything —
-   pc ranges, context facts, row successor ids, duplicate state keys —
-   against the importing machine before committing; any mismatch
-   (truncated bytes, a different program, a smaller [max_states])
-   rejects the whole blob and the cache simply warms up cold. *)
-
-let warm_seeded_counter = Telemetry.Counter.make "rx_dfa_warm_seeded_states_total"
-let warm_version = 1
-
-let warm_export_mach buf m =
-  Binio.w_varint buf m.ncols;
-  for sid = 0 to m.nstates - 1 do
-    let s = m.states.(sid) in
-    Binio.w_u8 buf s.st_ctx;
-    Binio.w_varint buf (Array.length s.st_raw);
-    Array.iter (fun pc -> Binio.w_varint buf pc) s.st_raw
-  done;
-  for sid = 0 to m.nstates - 1 do
-    let row = m.urows.(sid) in
-    for c = 0 to m.ncols - 1 do
-      Binio.w_varint buf (row.(c) + 2)
-    done
-  done;
-  for sid = 0 to m.nstates - 1 do
-    let row = m.arows.(sid) in
-    for c = 0 to m.ncols - 1 do
-      Binio.w_varint buf (row.(c) + 1)
-    done
-  done;
-  for i = 0 to 3 do
-    let s = m.start_sids.(i) in
-    Binio.w_varint buf (if m.start_gen = m.fgen && s >= 0 then s + 1 else 0)
-  done
-
-let warm_export cache =
-  if cache.fw.nstates = 0 && cache.rv.nstates = 0 then None
-  else begin
-    let buf = Buffer.create 4096 in
-    Binio.w_u8 buf warm_version;
-    Binio.w_u16 buf cache.fw.nstates;
-    Binio.w_u16 buf cache.rv.nstates;
-    warm_export_mach buf cache.fw;
-    warm_export_mach buf cache.rv;
-    Some (Buffer.contents buf)
-  end
-
-(* Parses and fully validates one machine's section, committing into
-   [m] only entries already proven consistent: states are interned in
-   sid order, so row values referencing any sid < nstates stay valid.
-   Raises [Binio.Truncated]/[Binio.Corrupt] on any mismatch — the
-   caller treats both as "stay cold". *)
-let warm_import_mach r m nstates =
-  if m.nstates <> 0 then raise (Binio.Corrupt "warm import into a used cache");
-  if nstates > m.max_states then raise (Binio.Corrupt "warm table too large");
-  let ncols = Binio.r_varint r in
-  if ncols <> m.ncols then raise (Binio.Corrupt "byte-class mismatch");
-  let proglen = Array.length m.prog in
-  let states = Array.make nstates dead_or_dummy in
-  for sid = 0 to nstates - 1 do
-    let ctx = Binio.r_u8 r in
-    if ctx > 3 then raise (Binio.Corrupt "bad context fact");
-    let n = Binio.r_varint r in
-    if n > proglen then raise (Binio.Corrupt "thread set too large");
-    let raw =
-      Array.init n (fun _ ->
-          let pc = Binio.r_varint r in
-          if pc >= proglen || pc > 0xffff then
-            raise (Binio.Corrupt "pc out of range");
-          pc)
-    in
-    states.(sid) <- { st_ctx = ctx; st_raw = raw; st_dead = n = 0 }
-  done;
-  let read_rows ~floor =
-    Array.init nstates (fun _ ->
-        Array.init m.ncols (fun _ ->
-            let v = Binio.r_varint r - (-floor) in
-            if v < floor then raise (Binio.Corrupt "bad row value");
-            if v >= 0 && v lsr 1 >= nstates then
-              raise (Binio.Corrupt "row successor out of range");
-            v))
-  in
-  let urows = read_rows ~floor:(-2) in
-  let arows = read_rows ~floor:(-1) in
-  let starts =
-    Array.init 4 (fun _ ->
-        let s = Binio.r_varint r - 1 in
-        if s >= nstates then raise (Binio.Corrupt "start memo out of range");
-        s)
-  in
-  (* Everything validated; commit.  Duplicate state keys would leave
-     [itbl] pointing at only one of the twins, so they reject too. *)
-  for sid = 0 to nstates - 1 do
-    let s = states.(sid) in
-    let key = key_of s.st_ctx s.st_raw in
-    if Hashtbl.mem m.itbl key then raise (Binio.Corrupt "duplicate state");
-    Hashtbl.add m.itbl key sid;
-    m.states.(sid) <- s;
-    m.urows.(sid) <- urows.(sid);
-    m.arows.(sid) <- arows.(sid)
-  done;
-  m.nstates <- nstates;
-  Array.blit starts 0 m.start_sids 0 4;
-  m.start_gen <- m.fgen
-
-let warm_import cache blob =
-  if cache.fw.nstates <> 0 || cache.rv.nstates <> 0 then false
-  else
-    let attempt () =
-      let r = Binio.reader blob in
-      if Binio.r_u8 r <> warm_version then
-        raise (Binio.Corrupt "warm version skew");
-      let fw_n = Binio.r_u16 r in
-      let rv_n = Binio.r_u16 r in
-      warm_import_mach r cache.fw fw_n;
-      warm_import_mach r cache.rv rv_n;
-      if not (Binio.at_end r) then raise (Binio.Corrupt "trailing bytes");
-      fw_n + rv_n
-    in
-    match attempt () with
-    | n ->
-      Telemetry.Counter.incr ~by:n warm_seeded_counter;
-      true
-    | exception (Binio.Truncated | Binio.Corrupt _) ->
-      (* A half-committed machine must not survive a rejected blob:
-         stretch [nstates] over every possibly-touched slot and flush,
-         so the cache is exactly cold again. *)
-      cache.fw.nstates <- cache.fw.max_states;
-      cache.rv.nstates <- cache.rv.max_states;
-      flush cache cache.fw;
-      flush cache cache.rv;
-      cache.c_flushes <- 0;
-      false
-
-let warm_counts blob =
-  if String.length blob < 5 || Char.code blob.[0] <> warm_version then None
-  else
-    Some
-      ( Char.code blob.[1] lor (Char.code blob.[2] lsl 8),
-        Char.code blob.[3] lor (Char.code blob.[4] lsl 8) )
-
-(* Sequentially read every materialized cell so the tables are hot in
-   the CPU caches before the first search.  A warm import allocates the
-   whole working set in one burst; without this pass the first request
-   pays a cold miss per table access, which is most of what the import
-   was supposed to save. *)
-let prefault_mach m acc =
-  for sid = 0 to m.nstates - 1 do
-    let raw = m.states.(sid).st_raw in
-    for i = 0 to Array.length raw - 1 do
-      acc := !acc + raw.(i)
-    done;
-    let u = m.urows.(sid) in
-    for i = 0 to Array.length u - 1 do
-      acc := !acc + u.(i)
-    done;
-    let a = m.arows.(sid) in
-    for i = 0 to Array.length a - 1 do
-      acc := !acc + a.(i)
-    done
-  done
-
-let prefault cache =
-  let acc = ref 0 in
-  prefault_mach cache.fw acc;
-  prefault_mach cache.rv acc;
-  ignore (Sys.opaque_identity !acc)

@@ -101,33 +101,3 @@ val is_match :
 val state_count : cache -> int * int
 (** Interned (forward, backward) state counts — cache-pressure
     introspection for tests and benchmarks. *)
-
-val warm_export : cache -> string option
-(** Snapshots the cache's interned states, materialized transition
-    rows and start-state memos into a compact validated byte form —
-    the payload of a rule pack's warm section.  [None] when the cache
-    has interned nothing (nothing to warm with). *)
-
-val warm_import : cache -> string -> bool
-(** [warm_import cache blob] seeds a {e fresh} cache (no interned
-    states yet) from a {!warm_export} blob.  Every byte is validated
-    against the cache's own program and byte classes before anything
-    commits; [false] — with the cache left exactly cold — on any
-    mismatch: truncation, corruption, version skew, a different
-    pattern's tables, or a table larger than this cache's
-    [max_states].  Imported states are ordinary cache entries: flush
-    and {!Bail} semantics are unchanged, and the imported start memo
-    is fenced to the current flush generation, so a later flush drops
-    the import exactly like self-built state. *)
-
-val warm_counts : string -> (int * int) option
-(** [(forward, backward)] interned-state counts carried in a warm
-    blob's header, without parsing the body — [None] if [blob] is not
-    a recognizable warm blob.  Powers [rules inspect]. *)
-
-val prefault : cache -> unit
-(** Sequentially read every materialized table cell so a just-imported
-    cache is hot in the CPU caches before its first search.  Without
-    it the first request pays the cold-miss latency of the freshly
-    allocated tables — the very cost a warm import exists to move into
-    the load phase. *)

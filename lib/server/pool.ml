@@ -74,11 +74,9 @@ let cache_extras () =
         fused_candidates,
         fused_confirms,
         fused_fallbacks,
-        warm_dfa,
-        warm_fused,
         cache_restored ) =
     match Telemetry.installed () with
-    | None -> (0, 0, 0, 0, 0, 0, 0, 0)
+    | None -> (0, 0, 0, 0, 0, 0)
     | Some sink ->
       let report = Telemetry.Report.of_sink sink in
       let total name =
@@ -90,14 +88,12 @@ let cache_extras () =
         total "scanner_fused_candidates_total",
         total "scanner_fused_confirms_total",
         total "scanner_fused_fallbacks_total",
-        total "rx_dfa_warm_seeded_states_total",
-        total "rx_fused_warm_seeded_states_total",
         total "server_cache_restored_entries_total" )
   in
   Printf.sprintf
-    "\"rxCompileCache\":{\"hits\":%d,\"entries\":%d},\"dfaCache\":{\"flushes\":%d,\"bails\":%d},\"fusedScan\":{\"candidates\":%d,\"confirms\":%d,\"fallbacks\":%d},\"warmStart\":{\"dfaSeededStates\":%d,\"fusedSeededStates\":%d,\"cacheRestoredEntries\":%d}"
+    "\"rxCompileCache\":{\"hits\":%d,\"entries\":%d},\"dfaCache\":{\"flushes\":%d,\"bails\":%d},\"fusedScan\":{\"candidates\":%d,\"confirms\":%d,\"fallbacks\":%d},\"warmStart\":{\"cacheRestoredEntries\":%d}"
     hits entries flushes bails fused_candidates fused_confirms fused_fallbacks
-    warm_dfa warm_fused cache_restored
+    cache_restored
 
 let health_body t =
   let pack =
@@ -317,14 +313,22 @@ let create ?pack ?rcache ?warm_boot ~jobs ~queue_capacity ~scanner () =
     }
   in
   (* Each worker heats its own domain before taking work: transition
-     caches are per-domain, so warm-boot work (rule-pack table seeding,
-     canary replay) must run inside the domain it is meant to heat —
-     running it once in the spawning domain would leave every worker
-     cold. *)
+     caches are per-domain, so warm-boot work (rule-pack subject
+     replay) must run inside the domain it is meant to heat — running
+     it once in the spawning domain would leave every worker cold.  A
+     warm boot is only an accelerator: if it raises, the worker says
+     so once and serves cold rather than dying with its queue
+     unserved. *)
   t.workers <-
     Array.init jobs (fun _ ->
         Domain.spawn (fun () ->
-            (match warm_boot with Some f -> f () | None -> ());
+            (match warm_boot with
+            | None -> ()
+            | Some f -> (
+              try f ()
+              with e ->
+                Printf.eprintf "serve: worker warm boot failed (%s); starting cold\n%!"
+                  (Printexc.to_string e)));
             worker_loop t));
   t
 

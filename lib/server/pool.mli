@@ -42,7 +42,9 @@ val create :
     [scanner]'s catalog.  [warm_boot] runs once inside every worker
     domain before it takes its first job — transition caches are
     per-domain, so per-domain heat (e.g. {!Rulepack.prewarm} of a warm
-    pack) must run there, not in the spawning domain. *)
+    pack) must run there, not in the spawning domain.  An exception
+    from [warm_boot] is reported on stderr and the worker serves
+    cold. *)
 
 val rcache : t -> Rcache.t option
 (** The result cache given to {!create}, for stats and invalidation. *)

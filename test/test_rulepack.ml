@@ -183,6 +183,47 @@ let test_load_io_error () =
   | Error e -> Alcotest.failf "wanted Io, got %s" (Rulepack.error_to_string e)
   | Ok _ -> Alcotest.fail "load of missing file returned Ok"
 
+(* Each failed [load] counts exactly once, whatever the failure kind
+   and wherever it is detected: before the checksum (truncation), at
+   the version gate, or inside section parsing (a forged checksum over
+   bad structure).  A bare [decode] counts the same way. *)
+let test_load_failures_counted_once () =
+  let good = Lazy.force pack_bytes in
+  let n = String.length good in
+  let with_checksum body =
+    let b = Bytes.create (String.length body + 8) in
+    Bytes.blit_string body 0 b 0 (String.length body);
+    Bytes.set_int64_le b (String.length body) (Binio.hash64 body);
+    Bytes.to_string b
+  in
+  let body = String.sub good 0 (n - 8) in
+  let skewed =
+    let b = Bytes.of_string body in
+    Bytes.set_int32_le b 8 (Int32.of_int (Rulepack.format_version + 1));
+    with_checksum (Bytes.to_string b)
+  in
+  let counted f =
+    let sink = Telemetry.create () in
+    (match Telemetry.with_sink sink f with
+    | Ok _ -> Alcotest.fail "bad pack decoded to Ok"
+    | Error _ -> ());
+    let counters = (Telemetry.Report.of_sink sink).Telemetry.Report.counters in
+    let total name = Option.value ~default:0 (List.assoc_opt name counters) in
+    (total "rulepack_load_failures_total", total "rulepack_loads_total")
+  in
+  List.iter
+    (fun (what, data) ->
+      with_temp_file (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc data);
+          let failures, loads = counted (fun () -> Rulepack.load ~path) in
+          check_int (what ^ ": one failure") 1 failures;
+          check_int (what ^ ": no success") 0 loads))
+    [ ("truncated", String.sub good 0 (n / 2));
+      ("corrupted", with_checksum (body ^ "\x00"));
+      ("version-skewed", skewed) ];
+  let failures, _ = counted (fun () -> Rulepack.decode "not a pack") in
+  check_int "bare decode of bad magic: one failure" 1 failures
+
 (* --- rewrite-IR round-trip (QCheck) -------------------------------------- *)
 
 let string_gen =
@@ -326,6 +367,8 @@ let () =
           Alcotest.test_case "bit flips" `Quick test_bit_flips;
           Alcotest.test_case "version skew and bad magic" `Quick test_version_skew;
           Alcotest.test_case "io error" `Quick test_load_io_error;
+          Alcotest.test_case "load failures counted once" `Quick
+            test_load_failures_counted_once;
         ] );
       ( "rewrite IR",
         qt [ prop_rewrite_roundtrip ]

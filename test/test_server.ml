@@ -381,6 +381,23 @@ let test_pool_poison_isolation () =
   | _ -> Alcotest.failf "unexpected responses (%d)" (List.length responses));
   ignore (Pool.shutdown ~drain_timeout:5. pool)
 
+(* A warm boot that raises must not take its worker down: with one
+   worker, a dead domain would leave every submission unanswered. *)
+let test_pool_warm_boot_failure () =
+  let pool =
+    Pool.create ~jobs:1 ~queue_capacity:4
+      ~warm_boot:(fun () -> failwith "boom")
+      ~scanner:(Lazy.force catalog_scanner) ()
+  in
+  let deliver, await = collector () in
+  Pool.submit pool (scan_request ~id:"after-boom" "h = hashlib.md5(data)\n")
+    ~deliver;
+  (match await ~timeout:10. 1 with
+  | [ Protocol.Reply { id; _ } ] ->
+    Alcotest.(check string) "answered" "after-boom" id
+  | _ -> Alcotest.fail "wanted one scan reply");
+  ignore (Pool.shutdown ~drain_timeout:5. pool)
+
 let test_pool_deadline_timeout () =
   let pool =
     Pool.create ~jobs:1 ~queue_capacity:4 ~scanner:(Lazy.force catalog_scanner)
@@ -955,6 +972,8 @@ let () =
             test_pool_differential;
           Alcotest.test_case "poisoned request is isolated" `Quick
             test_pool_poison_isolation;
+          Alcotest.test_case "failing warm boot still serves" `Quick
+            test_pool_warm_boot_failure;
           Alcotest.test_case "deadline yields timeout" `Quick
             test_pool_deadline_timeout;
           Alcotest.test_case "full queue yields overloaded" `Quick

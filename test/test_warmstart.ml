@@ -1,8 +1,8 @@
-(* Warm-start tests: transition-table export/import at the Rx level,
-   the rule pack's warm section, the corpus-wide differential proving
-   warm-seeded scans byte-identical to cold ones, and adversarial
-   sweeps over the warm section bytes (typed error or clean cold
-   fall-back — never a crash, never a changed result). *)
+(* Warm-start tests: the rule pack's warm section of replay subjects,
+   the corpus-wide differential proving scans after a warm boot
+   byte-identical to cold ones, and adversarial sweeps over the pack
+   and warm-section bytes (typed error or clean fall-back to no
+   subjects — never a crash, never a changed result). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -16,111 +16,9 @@ let sample_flask =
   \    os.system(cmd)\n\
   \    return f\"<p>{cmd}</p>\"\n"
 
-(* --- Rx-level export/import ------------------------------------------------ *)
-
-(* The observable for "the cache is hot" without poking internals:
-   [warm_export] is [None] over an empty cache and [Some blob] (with
-   header state counts) over a heated one. *)
-
-let test_rx_export_import () =
-  Rx.warm_registry_clear ();
-  let p = Rx.compile {|\bos\.system\(|} in
-  Rx.dfa_cache_clear p;
-  check_bool "fresh cache exports nothing" true (Rx.warm_export p = None);
-  ignore (Rx.exec p sample_flask);
-  let blob =
-    match Rx.warm_export p with
-    | Some b -> b
-    | None -> Alcotest.fail "heated cache exports nothing"
-  in
-  let counts =
-    match Rx.warm_blob_counts blob with
-    | Some c -> c
-    | None -> Alcotest.fail "own blob header unreadable"
-  in
-  check_bool "some states captured" true (fst counts + snd counts > 0);
-  (* register, drop, recreate: the seeded cache must export the same
-     table shape without a single search having run *)
-  Rx.warm_register ~source:(Rx.pattern p) blob;
-  Rx.dfa_cache_clear p;
-  Rx.dfa_cache_touch p;
-  (match Rx.warm_export p with
-  | None -> Alcotest.fail "seeded cache exports nothing"
-  | Some b2 ->
-    check_bool "seeded counts match" true (Rx.warm_blob_counts b2 = Some counts));
-  (* and matching over the seeded cache is unchanged *)
-  check_bool "seeded match agrees" true (Rx.matches p sample_flask);
-  Rx.warm_registry_clear ()
-
-let test_rx_import_garbage () =
-  Rx.warm_registry_clear ();
-  let p = Rx.compile {|\beval\(|} in
-  ignore (Rx.exec p "eval(x)\n");
-  let blob =
-    match Rx.warm_export p with Some b -> b | None -> Alcotest.fail "no blob"
-  in
-  (* a blob registered for the wrong pattern, truncated blobs, flipped
-     blobs: seeding must degrade to cold, matching must not change *)
-  let q = Rx.compile {|\bsubprocess\.call\(|} in
-  let corrupt =
-    [
-      blob;
-      String.sub blob 0 (String.length blob / 2);
-      "";
-      "\xff\xff\xff\xff";
-      (let b = Bytes.of_string blob in
-       Bytes.set b (Bytes.length b / 2)
-         (Char.chr (Char.code (Bytes.get b (Bytes.length b / 2)) lxor 0x55));
-       Bytes.to_string b);
-    ]
-  in
-  List.iter
-    (fun bad ->
-      Rx.warm_registry_clear ();
-      Rx.warm_register ~source:(Rx.pattern q) bad;
-      Rx.dfa_cache_clear q;
-      Rx.dfa_cache_touch q;
-      check_bool "corrupt seed: match unchanged" true
-        (Rx.matches q "subprocess.call(cmd)\n");
-      check_bool "corrupt seed: no match unchanged" false
-        (Rx.matches q "subprocess.run(cmd)\n"))
-    corrupt;
-  Rx.warm_registry_clear ()
-
-let test_fused_export_import () =
-  let patterns =
-    Array.of_list
-      (List.map
-         (fun (r : Patchitpy.Rule.t) -> r.Patchitpy.Rule.pattern)
-         Patchitpy.(Catalog.all ()))
-  in
-  let f =
-    match Rx.Fused.compile patterns with
-    | Some f -> f
-    | None -> Alcotest.fail "catalog not fusable"
-  in
-  let mask1 = Rx.Fused.run f sample_flask in
-  let blob =
-    match Rx.Fused.warm_export f with
-    | Some b -> b
-    | None -> Alcotest.fail "heated fused cache exports nothing"
-  in
-  let states =
-    match Rx.Fused.warm_blob_counts blob with
-    | Some n -> n
-    | None -> Alcotest.fail "own fused blob header unreadable"
-  in
-  check_bool "fused states captured" true (states > 0);
-  Rx.Fused.warm_attach f blob;
-  Rx.Fused.cache_clear f;
-  Rx.Fused.cache_touch f;
-  check_int "seeded fused state count" states (Rx.Fused.state_count f);
-  let mask2 = Rx.Fused.run f sample_flask in
-  check_bool "seeded fused mask identical" true (Bytes.equal mask1 mask2)
-
 (* --- warm pack: build, inspect, differential ------------------------------- *)
 
-let warm_pack_bytes =
+let warm_pack =
   lazy
     (let pack = Rulepack.create () in
      let corpus =
@@ -129,10 +27,9 @@ let warm_pack_bytes =
          (Corpus.Generator.all_samples ())
      in
      let warm = Rulepack.collect_warm ~corpus pack in
-     let info = Rulepack.warm_info_of warm in
-     if info.Rulepack.warm_patterns = 0 then
-       Alcotest.fail "corpus replay heated no pattern at all";
-     Rulepack.encode ~warm pack)
+     ((warm :> string list), Rulepack.encode ~warm pack))
+
+let warm_pack_bytes = lazy (snd (Lazy.force warm_pack))
 
 let decode_ok bytes =
   match Rulepack.decode bytes with
@@ -141,25 +38,16 @@ let decode_ok bytes =
 
 let test_warm_pack_info () =
   let p = decode_ok (Lazy.force warm_pack_bytes) in
-  match p.Rulepack.warm with
-  | None -> Alcotest.fail "decoded warm pack reports no warm section"
-  | Some w ->
-    check_bool "patterns carried" true (w.Rulepack.warm_patterns > 0);
-    check_bool "dfa states carried" true (w.Rulepack.warm_dfa_states > 0);
-    check_bool "fused states carried" true (w.Rulepack.warm_fused_states > 0);
-    check_bool "dfa bytes accounted" true (w.Rulepack.warm_dfa_bytes > 0);
-    check_int "canaries carried" 16 w.Rulepack.warm_canaries;
-    check_bool "canary bytes accounted" true (w.Rulepack.warm_canary_bytes > 0);
-    check_int "canaries decoded" 16 (List.length p.Rulepack.canaries)
+  let subjects = p.Rulepack.warm_subjects in
+  check_int "subjects carried and decoded" 16 (List.length subjects);
+  Alcotest.(check (list string))
+    "decoded subjects are the collected ones" (fst (Lazy.force warm_pack))
+    subjects
 
-(* A cold pack decoded from the same catalog must report no warm
-   section and register nothing. *)
-let test_cold_pack_unaffected () =
-  Rx.warm_registry_clear ();
-  let cold = Rulepack.encode (Rulepack.create ()) in
-  let p = decode_ok cold in
-  check_bool "no warm info" true (p.Rulepack.warm = None);
-  check_int "nothing registered" 0 (Rx.warm_registry_size ())
+let test_cold_pack_no_subjects () =
+  let p = decode_ok (Rulepack.encode (Rulepack.create ())) in
+  check_int "no subjects" 0 (List.length p.Rulepack.warm_subjects);
+  check_int "prewarm replays nothing" 0 (Rulepack.prewarm p)
 
 let finding_key (f : Patchitpy.Scanner.finding) =
   Printf.sprintf "%s:%d:%d:%d:%d:%s" f.rule.Patchitpy.Rule.id f.line f.column
@@ -168,18 +56,16 @@ let finding_key (f : Patchitpy.Scanner.finding) =
 let scan_fingerprint scanner code =
   String.concat "\n" (List.map finding_key (Patchitpy.Scanner.scan scanner code))
 
-(* The acceptance differential: scans through a warm-seeded plan are
+(* The acceptance differential: scans through a prewarmed plan are
    byte-identical to the source-compiled catalog's over the whole
-   corpus.  At jobs 4 every worker domain creates (and warm-seeds) its
-   own caches, so the parallel run exercises seeding in domains that
-   never scanned cold. *)
+   corpus.  At jobs 4 the worker domains build their own caches after
+   the replay heated this one, so the parallel run mixes domains that
+   were warmed with domains that start cold. *)
 let warm_differential ~jobs () =
-  Rx.warm_registry_clear ();
   let catalog = Patchitpy.Engine.default_scanner () in
   let packed =
     let p = decode_ok (Lazy.force warm_pack_bytes) in
-    check_bool "warm tables registered" true (Rx.warm_registry_size () > 0);
-    ignore (Rulepack.prewarm p : int);
+    check_int "subjects replayed" 16 (Rulepack.prewarm p);
     Rulepack.scanner p `Python
   in
   let samples = Corpus.Generator.all_samples () in
@@ -195,16 +81,16 @@ let warm_differential ~jobs () =
       if a <> b then
         Alcotest.failf "sample %d diverges between catalog and warm pack:\n%s\n---\n%s"
           i a b)
-    pairs;
-  Rx.warm_registry_clear ()
+    pairs
 
 (* --- adversarial warm-section bytes ---------------------------------------
 
    Truncations and un-fixed bit flips anywhere fail the whole-pack
    checksum: typed [Error].  Flips *inside the warm section* with the
-   trailer re-checksummed decode fine — the warm payload is the one
-   part allowed to degrade — and any seeding they cause must fall back
-   cold without changing a single scan result. *)
+   trailer re-checksummed decode fine — the warm payload is one of the
+   parts allowed to degrade: a flipped subject is replayed harmlessly,
+   a flipped count degrades to no subjects, and neither changes a
+   single scan result. *)
 
 let refix_checksum bytes =
   let b = Bytes.of_string bytes in
@@ -251,7 +137,6 @@ let test_warm_truncations () =
   done
 
 let test_warm_section_flips () =
-  Rx.warm_registry_clear ();
   let b = Lazy.force warm_pack_bytes in
   let off, len = warm_section_window b in
   let catalog = Patchitpy.Engine.default_scanner () in
@@ -264,38 +149,44 @@ let test_warm_section_flips () =
     Bytes.set flipped (off + !k)
       (Char.chr (Char.code (Bytes.get flipped (off + !k)) lxor 0x80));
     let forged = refix_checksum (Bytes.to_string flipped) in
-    Rx.warm_registry_clear ();
     (match Rulepack.decode forged with
     | Error _ ->
       (* a flip that lands in the section length/tag can break pack
          structure — a typed error is an acceptable outcome *)
       ()
     | Ok p ->
+      (* the first four bytes are the subject count (u32) *)
+      if !k < 4 && p.Rulepack.warm_subjects <> [] then
+        Alcotest.failf "flipped count at warm+%d still yields subjects" !k;
       let scanner = Rulepack.scanner p `Python in
       ignore (Rulepack.prewarm p : int);
       if scan_fingerprint scanner sample_flask <> reference then
         Alcotest.failf "flip at warm+%d changed scan results" !k);
     k := !k + step
-  done;
-  Rx.warm_registry_clear ()
+  done
+
+(* Packs written before replay subjects replaced transition tables
+   carry format version 2: they must be refused as version skew, not
+   misread as a version 3 warm section. *)
+let test_version_2_is_skew () =
+  let b = Bytes.of_string (Lazy.force warm_pack_bytes) in
+  Bytes.set_int32_le b 8 2l;
+  match Rulepack.decode (refix_checksum (Bytes.to_string b)) with
+  | Error (Rulepack.Version_skew { found; expected }) ->
+    check_int "found" 2 found;
+    check_int "expected" Rulepack.format_version expected
+  | Error e ->
+    Alcotest.failf "wanted Version_skew, got %s" (Rulepack.error_to_string e)
+  | Ok _ -> Alcotest.fail "version 2 pack decoded to Ok"
 
 let () =
   Alcotest.run "warmstart"
     [
-      ( "rx",
-        [
-          Alcotest.test_case "dfa export/import round-trip" `Quick
-            test_rx_export_import;
-          Alcotest.test_case "garbage seeds degrade cold" `Quick
-            test_rx_import_garbage;
-          Alcotest.test_case "fused export/import round-trip" `Quick
-            test_fused_export_import;
-        ] );
       ( "pack",
         [
           Alcotest.test_case "warm section info" `Quick test_warm_pack_info;
-          Alcotest.test_case "cold pack registers nothing" `Quick
-            test_cold_pack_unaffected;
+          Alcotest.test_case "cold pack carries no subjects" `Quick
+            test_cold_pack_no_subjects;
         ] );
       ( "differential",
         [
@@ -307,5 +198,7 @@ let () =
           Alcotest.test_case "truncations" `Quick test_warm_truncations;
           Alcotest.test_case "warm-section bit flips" `Slow
             test_warm_section_flips;
+          Alcotest.test_case "version 2 pack is version skew" `Quick
+            test_version_2_is_skew;
         ] );
     ]
